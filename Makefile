@@ -64,10 +64,11 @@ scale:
 	scripts/scalesmoke.sh
 
 # The tracked benchmark set (full crawl, parallel re-analysis,
-# streaming-vs-batch engine), archived as BENCH_pr6.json for cross-run
-# comparison.
+# streaming-vs-batch engine, plus the web and dom per-layer rows),
+# archived with its machine, commit and metrics digest to the file
+# named by OUT: make bench OUT=BENCH_<name>.json
 bench:
-	scripts/bench.sh
+	scripts/bench.sh $(OUT)
 
 # Paper-scale benchmarks: every table/figure plus the parallel-analysis
 # speedup benchmark (BenchmarkAnalyzeParallel).

@@ -97,10 +97,15 @@ func (c *Controller) rendezvous(key, crawler string, sub interface{}, need int,
 	}
 	c.mu.Unlock()
 
+	// The guard timer is stopped on return: under go 1.22 timer
+	// semantics an unstopped timer stays live until it fires, so one per
+	// rendezvous would pin memory for the whole timeout.
+	guard := time.NewTimer(c.timeout) //crumb:allow wallclock real deadlock guard; never fires on the success path
+	defer guard.Stop()
 	select {
 	case <-b.done:
 		return b.result, nil
-	case <-time.After(c.timeout): //crumb:allow wallclock real deadlock guard; never fires on the success path
+	case <-guard.C:
 		return nil, ErrBarrierTimeout
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,9 +74,12 @@ type Config struct {
 	// virtual clock, so retries cost no wall time.
 	Retry resilience.Policy
 	// Breaker configures per-registered-domain circuit breakers; the
-	// zero value disables them. Breaker short-circuiting is
-	// schedule-dependent at Parallelism > 1 (like the real crawl);
-	// dataset byte-determinism with breakers on holds at Parallelism 1.
+	// zero value disables them. A walk's breaker reports apply at its
+	// controller barriers in a fixed order, so the crawlers of one walk
+	// never race each other for breaker state. Short-circuiting across
+	// walks is schedule-dependent at Parallelism > 1 (like the real
+	// crawl); dataset byte-determinism with breakers on holds at
+	// Parallelism 1.
 	Breaker resilience.BreakerConfig
 	// Checkpoint, when non-nil, records each completed walk and skips
 	// walks it already holds, so interrupted crawls resume without
@@ -202,27 +206,27 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	cm := newCrawlMetrics(cfg.Telemetry)
 	cfg.Telemetry.Registry().Gauge("crawler.walks_total").Set(int64(cfg.Walks))
 
-	ledger := newClockLedger(cfg.Network.Clock(), cfg.Walks)
-	ctrl.afterBarrier = ledger.drain
-
-	rt := &retrier{
-		seed:     cfg.Seed,
-		policy:   cfg.Retry,
-		clock:    cfg.Network.Clock(),
-		ledger:   ledger,
-		sleep:    cfg.BackoffSleep,
-		m:        resilience.NewMetrics(cfg.Telemetry.Registry()),
-		breakers: cfg.Network.Breakers(),
-	}
-	if cfg.Breaker.Enabled() && rt.breakers == nil {
+	breakers := cfg.Network.Breakers()
+	if cfg.Breaker.Enabled() && breakers == nil {
 		psl := publicsuffix.Default()
-		rt.breakers = resilience.NewBreakerSet(cfg.Breaker, cfg.Network.Clock(), func(host string) string {
+		breakers = resilience.NewBreakerSet(cfg.Breaker, cfg.Network.Clock(), func(host string) string {
 			if d := psl.RegisteredDomain(host); d != "" {
 				return d
 			}
 			return host
 		}, cfg.Telemetry.Registry())
-		cfg.Network.SetBreakers(rt.breakers)
+		cfg.Network.SetBreakers(breakers)
+	}
+	ledger := newClockLedger(cfg.Network.Clock(), cfg.Walks, breakers)
+	ctrl.afterBarrier = ledger.drain
+
+	rt := &retrier{
+		seed:   cfg.Seed,
+		policy: cfg.Retry,
+		clock:  cfg.Network.Clock(),
+		ledger: ledger,
+		sleep:  cfg.BackoffSleep,
+		m:      resilience.NewMetrics(cfg.Telemetry.Registry()),
 	}
 
 	// Resume: restore the virtual clock to the furthest instant the
@@ -317,22 +321,62 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 // arrival drains while its peers are still blocked in their Submit
 // calls) and at end of walk. The total time applied is the sum of
 // deposits — commutative, hence identical under any schedule.
+//
+// Circuit-breaker reports follow the same discipline. A breaker report
+// is order-sensitive (it counts toward a threshold or resets it), so
+// if each crawler reported as its retry sequence ended, which of a
+// walk's crawlers saw the breaker open would depend on goroutine
+// interleaving. Reports are deposited per walk instead and applied at
+// the drain in retry-key order; until then every crawler of the walk
+// sees the breaker state of the previous drain.
 type clockLedger struct {
-	clock   resilience.Clock
-	pending []atomic.Int64
+	clock    resilience.Clock
+	pending  []atomic.Int64
+	breakers *resilience.BreakerSet // nil when breakers are off
+
+	mu      sync.Mutex
+	reports map[int][]breakerReport // pending reports by walk
 }
 
-func newClockLedger(clock resilience.Clock, walks int) *clockLedger {
-	return &clockLedger{clock: clock, pending: make([]atomic.Int64, walks)}
+// breakerReport is one retry sequence's outcome for host, keyed by the
+// sequence's retry key (unique within a walk).
+type breakerReport struct {
+	key, host string
+	err       error
 }
 
-// drain applies a walk's pending time to the real clock.
+func newClockLedger(clock resilience.Clock, walks int, breakers *resilience.BreakerSet) *clockLedger {
+	return &clockLedger{
+		clock:    clock,
+		pending:  make([]atomic.Int64, walks),
+		breakers: breakers,
+		reports:  make(map[int][]breakerReport),
+	}
+}
+
+// report deposits a breaker report for the walk's next drain.
+func (l *clockLedger) report(walk int, r breakerReport) {
+	l.mu.Lock()
+	l.reports[walk] = append(l.reports[walk], r)
+	l.mu.Unlock()
+}
+
+// drain applies a walk's pending time to the real clock and its pending
+// breaker reports to the breakers.
 func (l *clockLedger) drain(walk int) {
 	if l == nil || walk < 0 || walk >= len(l.pending) {
 		return
 	}
 	if d := l.pending[walk].Swap(0); d > 0 {
 		l.clock.Advance(time.Duration(d))
+	}
+	l.mu.Lock()
+	reports := l.reports[walk]
+	delete(l.reports, walk)
+	l.mu.Unlock()
+	sort.Slice(reports, func(i, j int) bool { return reports[i].key < reports[j].key })
+	for _, r := range reports {
+		l.breakers.ReportHost(r.host, r.err)
 	}
 }
 
@@ -367,24 +411,22 @@ func appendReason(existing, add string) string {
 // recovers within its sequence can never trip a breaker, keeping breaker
 // decisions independent of how concurrent walks interleave.
 type retrier struct {
-	seed     int64
-	policy   resilience.Policy
-	clock    resilience.Clock
-	ledger   *clockLedger
-	sleep    func(time.Duration)
-	m        *resilience.Metrics
-	breakers *resilience.BreakerSet
+	seed   int64
+	policy resilience.Policy
+	clock  resilience.Clock
+	ledger *clockLedger
+	walk   int // the walk whose ledger account receives reports
+	sleep  func(time.Duration)
+	m      *resilience.Metrics
 }
 
-// forWalk returns a copy whose clock defers advances into the walk's
-// ledger account, so backoff sleeps never race against peer crawlers'
-// request timestamps.
+// forWalk returns a copy whose clock defers advances, and whose breaker
+// reports defer, into the walk's ledger account, so neither races
+// against peer crawlers' requests.
 func (rt *retrier) forWalk(walk int) *retrier {
-	if rt.ledger == nil {
-		return rt
-	}
 	cp := *rt
 	cp.clock = walkClock{l: rt.ledger, walk: walk}
+	cp.walk = walk
 	return &cp
 }
 
@@ -402,7 +444,7 @@ func (rt *retrier) do(b *browser.Browser, key string, op func() (*browser.Page, 
 		}
 		return err
 	})
-	rt.report(page, err)
+	rt.report(key, page, err)
 	return page, err
 }
 
@@ -416,17 +458,17 @@ func (rt *retrier) click(b *browser.Browser, key string, page *browser.Page, ind
 	return rt.do(b, key, func() (*browser.Page, error) { return b.Click(page, index) })
 }
 
-// report feeds one sequence outcome to the breakers: the landed host on
-// success, the unreachable host on transport failure. Click-logic
-// failures say nothing about a domain's health, and breaker rejections
-// must not re-count the failure that opened the breaker.
-func (rt *retrier) report(page *browser.Page, err error) {
-	if rt.breakers == nil {
+// report deposits one sequence outcome for the breakers: the landed
+// host on success, the unreachable host on transport failure.
+// Click-logic failures say nothing about a domain's health, and breaker
+// rejections must not re-count the failure that opened the breaker.
+func (rt *retrier) report(key string, page *browser.Page, err error) {
+	if rt.ledger.breakers == nil {
 		return
 	}
 	if err == nil {
 		if page != nil {
-			rt.breakers.ReportHost(page.URL.Hostname(), nil)
+			rt.ledger.report(rt.walk, breakerReport{key: key, host: page.URL.Hostname()})
 		}
 		return
 	}
@@ -436,7 +478,7 @@ func (rt *retrier) report(page *browser.Page, err error) {
 	var nav *browser.NavError
 	if errors.As(err, &nav) && nav.URL != "" {
 		if u, perr := url.Parse(nav.URL); perr == nil && u.Hostname() != "" {
-			rt.breakers.ReportHost(u.Hostname(), err)
+			rt.ledger.report(rt.walk, breakerReport{key: key, host: u.Hostname(), err: err})
 		}
 	}
 }

@@ -432,10 +432,13 @@ func TestCircuitBreakerFailsFast(t *testing.T) {
 	if v := reg.Counter("netsim.breaker_open").Value(); v == 0 {
 		t.Error("no fail-fast rejections counted in netsim.breaker_open")
 	}
-	// Retries stop once the breaker is open: with threshold 2 and 3
-	// attempts per sequence, only the first two sequences may retry.
-	if v := reg.Counter("resilience.retries").Value(); v != 4 {
-		t.Errorf("retries = %d, want 4 (2 tripping sequences x 2 retries; breaker-open is permanent)", v)
+	// Retries stop once the breaker is open. Breaker reports apply at
+	// the walk's first barrier, so all four seed sequences of walk 0
+	// (Safari-1, Safari-1R, Safari-2, Chrome-3) run against a closed
+	// breaker and retry; their reports trip it, and every later walk is
+	// rejected without retrying.
+	if v := reg.Counter("resilience.retries").Value(); v != 8 {
+		t.Errorf("retries = %d, want 8 (4 walk-0 sequences x 2 retries; breaker-open is permanent)", v)
 	}
 	// Every walk still fails — fast, but recorded.
 	for _, w := range ds.Walks {

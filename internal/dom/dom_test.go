@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,89 @@ func TestParseScriptRawText(t *testing.T) {
 	}
 	if len(doc.ElementsByTag("p")) != 1 {
 		t.Fatal("content after script lost")
+	}
+}
+
+// TestParseRawTextNonASCII pins that the closer scan indexes the
+// original document: upper-case runes whose lower case has a different
+// byte length must not shift where the script text ends.
+func TestParseRawTextNonASCII(t *testing.T) {
+	doc := Parse(`<script>var s="İİİİ";</SCRIPT><a href="/x">x</a>`)
+	scripts := doc.ElementsByTag("script")
+	if len(scripts) != 1 {
+		t.Fatalf("scripts = %d", len(scripts))
+	}
+	if got, want := scripts[0].InnerText(), `var s="İİİİ";`; got != want {
+		t.Fatalf("script text = %q, want %q", got, want)
+	}
+	links := doc.ElementsByTag("a")
+	if len(links) != 1 {
+		t.Fatalf("links after script = %d, want 1", len(links))
+	}
+	if href, _ := links[0].Attr("href"); href != "/x" {
+		t.Fatalf("href = %q", href)
+	}
+}
+
+// TestParseRawTextClosers covers closer matching: ASCII case folds,
+// non-ASCII look-alikes and other tags do not close the element, and a
+// missing closer keeps the rest of the document as raw text.
+func TestParseRawTextClosers(t *testing.T) {
+	cases := []struct {
+		name, html, tag, text string
+		after                 int // <p> elements parsed after the raw text
+	}{
+		{"lower", `<script>a()</script><p>x</p>`, "script", "a()", 1},
+		{"upper", `<script>a()</SCRIPT><p>x</p>`, "script", "a()", 1},
+		{"mixed", `<script>a()</ScRiPt ><p>x</p>`, "script", "a()", 1},
+		{"style mixed", `<style>p{}</sTyLe><p>x</p>`, "style", "p{}", 1},
+		{"other closer", `<script>"</p></scrip"</script><p>x</p>`, "script", `"</p></scrip"`, 1},
+		{"long s is not s", "<script>a()</ſcript><p>x</p>", "script", "a()</ſcript><p>x</p>", 0},
+		{"dotted I is not i", "<script>a</scrİpt></script><p>x</p>", "script", "a</scrİpt>", 1},
+		{"missing closer", `<script>a() <p>x</p>`, "script", "a() <p>x</p>", 0},
+		{"truncated closer", `<script>a()</scr`, "script", "a()</scr", 0},
+		{"empty", `<script></script><p>x</p>`, "script", "", 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			doc := Parse(c.html)
+			els := doc.ElementsByTag(c.tag)
+			if len(els) != 1 {
+				t.Fatalf("<%s> elements = %d, want 1", c.tag, len(els))
+			}
+			if got := els[0].InnerText(); got != c.text {
+				t.Errorf("raw text = %q, want %q", got, c.text)
+			}
+			if got := len(doc.ElementsByTag("p")); got != c.after {
+				t.Errorf("<p> after raw text = %d, want %d", got, c.after)
+			}
+		})
+	}
+}
+
+// parseSink keeps the measured parse from being optimised away.
+var parseSink *Node
+
+// BenchmarkParse parses pages carrying 10, 100 and 1000 inline scripts
+// among ordinary markup. Time per op should grow linearly with the
+// script count.
+func BenchmarkParse(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		var page strings.Builder
+		page.WriteString("<html><body>")
+		for i := 0; i < n; i++ {
+			page.WriteString(`<div class="c"><a href="/p?i=1">link</a></div>`)
+			page.WriteString(`<script>window.q=(window.q||[]).push({t:"ev",v:1});</SCRIPT>`)
+		}
+		page.WriteString("</body></html>")
+		html := page.String()
+		b.Run(fmt.Sprintf("scripts=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(html)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				parseSink = Parse(html)
+			}
+		})
 	}
 }
 

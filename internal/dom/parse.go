@@ -131,8 +131,7 @@ func Parse(html string) *Node {
 		top().AppendChild(el)
 		if el.Tag == "script" || el.Tag == "style" {
 			// Raw-text elements: consume to the closing tag verbatim.
-			closer := "</" + el.Tag
-			idx := strings.Index(strings.ToLower(html[i:]), closer)
+			idx := indexCloseTag(html[i:], el.Tag)
 			if idx < 0 {
 				el.AppendChild(newText(html[i:]))
 				break
@@ -152,6 +151,41 @@ func Parse(html string) *Node {
 		}
 	}
 	return root
+}
+
+// indexCloseTag returns the offset of the first "</tag" in s, matching
+// the tag name ASCII-case-insensitively, or -1. tag must be lower-case
+// ASCII. Only ASCII letters fold: a non-ASCII rune never completes a
+// closer, and offsets always index s itself. Each byte of s is examined
+// a bounded number of times, so a page with many raw-text elements
+// parses in linear time.
+func indexCloseTag(s, tag string) int {
+	for off := 0; ; {
+		j := strings.Index(s[off:], "</")
+		if j < 0 {
+			return -1
+		}
+		name := off + j + 2
+		if len(s)-name >= len(tag) && asciiLowerEqual(s[name:name+len(tag)], tag) {
+			return off + j
+		}
+		off = name
+	}
+}
+
+// asciiLowerEqual reports whether s equals the lower-case ASCII string
+// lower once s's ASCII upper-case letters are lowered.
+func asciiLowerEqual(s, lower string) bool {
+	for k := 0; k < len(lower); k++ {
+		c := s[k]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // parseTag parses "name attr=val attr2="v2" flag" into an element

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -106,9 +107,10 @@ type Job struct {
 	errText       string
 	metrics       []byte
 	report        []byte
-	tel           *telemetry.Telemetry
-	runID         string // run-store entry, once persisted
-	checkpoint    string // checkpoint file path, when recorded
+	tel           *telemetry.Telemetry // live while running; nil once frozen
+	frozen        *jobTrace            // set when the job turns terminal
+	runID         string               // run-store entry, once persisted
+	checkpoint    string               // checkpoint file path, when recorded
 	enqueuedMs    int64
 	startedMs     int64
 	finishedMs    int64
@@ -150,10 +152,15 @@ func (j *Job) begin(cancel context.CancelFunc, nowMs int64) bool {
 	return true
 }
 
-// finish records the terminal state and closes the done channel.
+// finish records the terminal state, freezes the job's trace and closes
+// the done channel. The trace is encoded outside the lock, while readers
+// still see the live handle.
 func (j *Job) finish(state, errText string, nowMs int64) {
+	tel, _ := j.traceSource()
+	frozen := freezeTrace(tel)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.tel, j.frozen = nil, frozen
 	j.state = state
 	j.errText = errText
 	j.finishedMs = nowMs
@@ -258,11 +265,58 @@ func (j *Job) Report() []byte {
 	return j.report
 }
 
-// Telemetry returns the job's telemetry handle (nil until it runs).
-func (j *Job) Telemetry() *telemetry.Telemetry {
+// Span summaries keep this many slowest spans: traceTopSlow for
+// GET /jobs/{id}/trace?summary=, debugTopSlow for /debug/vars.
+const (
+	traceTopSlow = 10
+	debugTopSlow = 3
+)
+
+// jobTrace is what the HTTP layer serves of a job's trace. A finished
+// job keeps only this, encoded once, in place of its live telemetry
+// handle: a preallocated span ring plus a metrics registry per job
+// would make a long-running server's memory grow with the jobs served.
+type jobTrace struct {
+	jsonl   []byte                 // Tracer.WriteJSONL output, exact size
+	summary telemetry.TraceSummary // Summarize(spans, traceTopSlow)
+}
+
+// freezeTrace encodes tel's retained spans once (nil for a job that
+// never started).
+func freezeTrace(tel *telemetry.Telemetry) *jobTrace {
+	if tel == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	tel.Tracer().WriteJSONL(&buf) //nolint:errcheck // bytes.Buffer writes do not fail
+	jsonl := make([]byte, buf.Len())
+	copy(jsonl, buf.Bytes())
+	return &jobTrace{
+		jsonl:   jsonl,
+		summary: telemetry.Summarize(tel.Tracer().Spans(), traceTopSlow),
+	}
+}
+
+// traceSource returns the job's live telemetry handle while it runs, or
+// its frozen trace once it is terminal; both are nil before it starts.
+func (j *Job) traceSource() (*telemetry.Telemetry, *jobTrace) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.tel
+	return j.tel, j.frozen
+}
+
+// summarizeTrace returns Summarize(spans, n), n <= traceTopSlow, of the
+// job's spans: from the live handle while the job runs, cut from the
+// frozen summary once it is terminal.
+func summarizeTrace(tel *telemetry.Telemetry, frozen *jobTrace, n int) telemetry.TraceSummary {
+	if frozen == nil {
+		return telemetry.Summarize(tel.Tracer().Spans(), n)
+	}
+	sum := frozen.summary
+	if len(sum.Slowest) > n {
+		sum.Slowest = sum.Slowest[:n]
+	}
+	return sum
 }
 
 // Done returns a channel closed when the job reaches a terminal state.

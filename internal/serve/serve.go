@@ -507,17 +507,19 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	tel := j.Telemetry()
-	if tel == nil {
+	tel, frozen := j.traceSource()
+	switch {
+	case tel == nil && frozen == nil:
 		writeError(w, http.StatusConflict, "job has not started")
-		return
+	case r.URL.Query().Get("summary") != "":
+		writeJSON(w, http.StatusOK, summarizeTrace(tel, frozen, traceTopSlow))
+	case frozen != nil:
+		w.Header().Set("Content-Type", "application/jsonl")
+		w.Write(frozen.jsonl) //nolint:errcheck
+	default:
+		w.Header().Set("Content-Type", "application/jsonl")
+		tel.Tracer().WriteJSONL(w) //nolint:errcheck
 	}
-	if r.URL.Query().Get("summary") != "" {
-		writeJSON(w, http.StatusOK, telemetry.Summarize(tel.Tracer().Spans(), 10))
-		return
-	}
-	w.Header().Set("Content-Type", "application/jsonl")
-	tel.Tracer().WriteJSONL(w) //nolint:errcheck
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -613,8 +615,8 @@ func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, j := range s.snapshotJobs() {
 		v.Jobs[j.State()]++
-		if tel := j.Telemetry(); tel != nil {
-			v.JobSpans[j.ID] = telemetry.Summarize(tel.Tracer().Spans(), 3)
+		if tel, frozen := j.traceSource(); tel != nil || frozen != nil {
+			v.JobSpans[j.ID] = summarizeTrace(tel, frozen, debugTopSlow)
 		}
 	}
 	writeJSON(w, http.StatusOK, v)

@@ -237,11 +237,13 @@ func TestDrain(t *testing.T) {
 	for {
 		var st Status
 		getJSON(t, ts.URL+"/jobs/"+running.ID, &st)
-		if st.State == StateRunning {
+		// Drain only once a walk has completed, so the checkpoint has
+		// something to record.
+		if st.State == StateRunning && st.Progress.WalksDone >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started (state %s)", running.ID, st.State)
+			t.Fatalf("job %s completed no walk while running (state %s)", running.ID, st.State)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -165,6 +165,10 @@ func TestJSONLRoundTripAndSummary(t *testing.T) {
 	if sum.Spans != 3 || len(sum.Slowest) != 2 {
 		t.Fatalf("summary = %+v", sum)
 	}
+	// A kept summary must not pin the sorted copy of every span.
+	if cap(sum.Slowest) != len(sum.Slowest) {
+		t.Fatalf("Slowest has cap %d for %d spans", cap(sum.Slowest), len(sum.Slowest))
+	}
 	if sum.LayerSpanCount("netsim") != 2 || sum.LayerSpanCount("crawler") != 1 {
 		t.Fatalf("layer counts = %+v", sum.Layers)
 	}

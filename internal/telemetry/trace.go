@@ -135,7 +135,9 @@ func Summarize(spans []Span, topSlow int) TraceSummary {
 	copy(slow, spans)
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].Wall > slow[j].Wall })
 	if len(slow) > topSlow {
-		slow = slow[:topSlow]
+		// Copy rather than reslice: a retained summary must not pin the
+		// sorted copy of every span, and with it every span's attributes.
+		slow = append([]Span(nil), slow[:topSlow]...)
 	}
 	sum.Slowest = slow
 	return sum

@@ -26,8 +26,17 @@ import (
 // fixed-width base-36 code after the final hyphen is the site index,
 // which is what lets Site(host) resolve a domain back to its site in
 // O(1) without a world-sized map. Tracker domains are hyphen-free, so
-// the two namespaces cannot collide; decoding validates by re-deriving
-// the domain, so look-alike hostnames never resolve.
+// the two namespaces cannot collide; decoding validates by comparing
+// against the index's coined domain, so look-alike hostnames never
+// resolve.
+//
+// Coining a domain seeds an RNG, which costs far more than the rest of
+// a page build, and page generation asks for partner and link domains
+// constantly. So coined domains are memoised per index in a memo on the
+// plan (domainAt): a world and all its forks share it, it fills on
+// demand, and a lazy world holds only the names it has touched.
+// ssoInfo checks the plan's SSO assignment before it validates a
+// domain, so the common non-SSO partner never reaches domainAt at all.
 
 // zipfSkew is the popularity-bias exponent of the partner link graph.
 const zipfSkew = 0.35
@@ -42,11 +51,15 @@ type orgPlan struct {
 	breakage map[int]int
 }
 
-// worldGen is the immutable generation plan shared by a world and all
-// its forks.
+// worldGen is the generation plan shared by a world and all its forks.
+// It is immutable once built, apart from the internally locked domain
+// memo.
 type worldGen struct {
 	cfg   Config
 	truth *Truth
+
+	// domains memoises domainAt (see domainMemo).
+	domains domainMemo
 
 	trackers   []*Tracker
 	adNetworks []*Tracker
@@ -93,6 +106,7 @@ func newWorldGen(cfg Config) *worldGen {
 		collectorsByDest: make(map[string][]*Tracker),
 		orgPlans:         make(map[int]*orgPlan),
 		shortenerIdx:     make(map[int]bool),
+		domains:          domainMemo{byIdx: make(map[int]string)},
 		kindSeed:         split.Seed("world/kinds"),
 		domainSeed:       split.Seed("world/domains"),
 		siteSeed:         split.Seed("world/sites"),
@@ -151,9 +165,34 @@ func (g *worldGen) kindAt(i int) SiteKind {
 	}
 }
 
-// domainAt coins site i's domain. The embedded index code guarantees
-// global uniqueness, so no cross-site used-set is needed.
+// domainMemo caches coined site domains by index. Coining is a pure
+// function of the index, so concurrent misses on one index coin the
+// same string and either store wins.
+type domainMemo struct {
+	mu    sync.RWMutex
+	byIdx map[int]string
+}
+
+// domainAt returns site i's domain, coining it on first use.
 func (g *worldGen) domainAt(i int) string {
+	m := &g.domains
+	m.mu.RLock()
+	d, ok := m.byIdx[i]
+	m.mu.RUnlock()
+	if ok {
+		return d
+	}
+	d = g.coinDomain(i)
+	m.mu.Lock()
+	m.byIdx[i] = d
+	m.mu.Unlock()
+	return d
+}
+
+// coinDomain coins site i's domain from an RNG seeded by (domainSeed,
+// i). The embedded index code guarantees global uniqueness, so no
+// cross-site used-set is needed.
+func (g *worldGen) coinDomain(i int) string {
 	rng := stats.AcquireRNG(stats.DeriveSeedN(g.domainSeed, i))
 	defer rng.Release()
 	a := stats.Pick(rng, words.Common)
@@ -175,8 +214,19 @@ func encodeIdx(i, width int) string {
 }
 
 // siteIndexOf decodes a registered domain back to its site index. It
-// validates by re-deriving: only the N real site domains resolve.
+// validates against the index's domain: only the N real site domains
+// resolve.
 func (g *worldGen) siteIndexOf(regDomain string) (int, bool) {
+	i, ok := g.decodeIdx(regDomain)
+	if !ok || g.domainAt(i) != regDomain {
+		return 0, false
+	}
+	return i, true
+}
+
+// decodeIdx reads the site-index code out of a registered domain
+// without validating the rest of the name.
+func (g *worldGen) decodeIdx(regDomain string) (int, bool) {
 	dot := strings.LastIndexByte(regDomain, '.')
 	if dot < 0 {
 		return 0, false
@@ -188,9 +238,6 @@ func (g *worldGen) siteIndexOf(regDomain string) (int, bool) {
 	}
 	n, err := strconv.ParseInt(name[dash+1:], 36, 64)
 	if err != nil || n < 0 || int(n) >= g.cfg.NumSites {
-		return 0, false
-	}
-	if g.domainAt(int(n)) != regDomain {
 		return 0, false
 	}
 	return int(n), true
@@ -229,13 +276,15 @@ type ssoRef struct {
 }
 
 // ssoInfo reports whether domain belongs to an SSO-enabled sync org.
+// The plan lookup comes before validation, so most partners are
+// rejected on their index code alone.
 func (g *worldGen) ssoInfo(domain string) (ssoRef, bool) {
-	i, ok := g.siteIndexOf(domain)
+	i, ok := g.decodeIdx(domain)
 	if !ok {
 		return ssoRef{}, false
 	}
 	p := g.orgPlans[i]
-	if p == nil || !p.sso {
+	if p == nil || !p.sso || g.domainAt(i) != domain {
 		return ssoRef{}, false
 	}
 	return ssoRef{domain: domain, ssoHost: "signin." + p.sync.Domain}, true
