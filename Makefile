@@ -19,8 +19,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# crumblint: wallclock, seededrand, maporder, spanend, noentry,
-# fsyncpolicy, plus the interprocedural resource-discipline suite
+# crumblint: wallclock, seededrand, maporder, spanend, fsyncpolicy,
+# plus the interprocedural resource-discipline suite
 # (mustclose, poolreset, ctxflow, sharedwrite). The standalone driver
 # runs analyzers in parallel per package with content-hash result
 # caching under bin/.lintcache and suppresses findings recorded in the

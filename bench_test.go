@@ -105,7 +105,7 @@ func BenchmarkManualFilter(b *testing.B) {
 	var stats uid.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats = uid.Identify(r.Candidates, uid.Options{LifetimeOf: r.Lifetimes.Lifetime})
+		_, stats, _ = uid.Identify(context.Background(), r.Candidates, uid.Options{LifetimeOf: r.Lifetimes.Lifetime})
 	}
 	b.ReportMetric(float64(stats.AfterProgrammatic), "reachedManual(paper:1581)")
 	b.ReportMetric(float64(stats.ManuallyRemoved), "manuallyRemoved(paper:577)")
@@ -722,10 +722,9 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		seqPaths := tokens.PathsFromDataset(seqDS)
 		seqIdx := uid.BuildLifetimeIndex(seqDS)
 		seqCases, seqStats = uid.SequentialIdentify(
-			tokens.AllCandidates(seqPaths), seqIdx.Lifetime, 90*24*time.Hour)
+			datasetCandidates(b, seqDS), seqIdx.Lifetime, 90*24*time.Hour)
 
 		// The synchronized system on a fresh identical world.
 		world2 := web.BuildWorld(cfg)
@@ -735,13 +734,31 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		syncPaths := tokens.PathsFromDataset(syncDS)
-		cases, _ := uid.Identify(tokens.AllCandidates(syncPaths), uid.Options{})
+		cases, _, err := uid.Identify(context.Background(), datasetCandidates(b, syncDS), uid.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		syncCases = len(cases)
 	}
 	b.ReportMetric(float64(len(seqCases)), "sequentialUIDs")
 	b.ReportMetric(float64(syncCases), "synchronizedUIDs")
 	b.ReportMetric(float64(seqStats.SingleUser), "unconfirmableSingleUser")
+}
+
+// datasetCandidates runs path reconstruction and candidate extraction
+// sequentially over ds.
+func datasetCandidates(b *testing.B, ds *crawler.Dataset) []*tokens.Candidate {
+	b.Helper()
+	ctx := context.Background()
+	paths, err := tokens.PathsFromDataset(ctx, ds, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, err := tokens.AllCandidates(ctx, paths, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cands
 }
 
 // --- §6: referer-based smuggling (the pipeline's designed blind spot) -----------

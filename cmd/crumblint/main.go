@@ -1,7 +1,9 @@
 // Crumblint machine-checks the invariants crumbcruncher's determinism
 // guarantee rests on: no wall-clock reads outside annotated sites, no
 // unseeded randomness, no order-dependent emission from map iteration,
-// no leaked telemetry spans, and no deprecated entry points.
+// no leaked telemetry spans, and no fsync or rename outside the
+// durable-write layer, plus the interprocedural resource-discipline
+// checks.
 //
 // Run it standalone:
 //

@@ -73,7 +73,7 @@ func main() {
 	if *par > 0 && *par != run.Config.Parallelism {
 		cfg := run.Config
 		cfg.Parallelism = *par
-		if run, err = crumbcruncher.ReanalyzeContext(context.Background(), cfg, run); err != nil {
+		if run, err = crumbcruncher.NewRunner(cfg).Reanalyze(context.Background(), run); err != nil {
 			log.Fatal(err)
 		}
 	}

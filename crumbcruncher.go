@@ -108,9 +108,9 @@ func WithProgress(fn func(Progress)) Option {
 	return func(c *Config) { c.OnProgress = fn }
 }
 
-// Runner is the consolidated entry point: a configured pipeline that
-// can execute the full study (Run) or re-run the post-crawl analysis
-// over an existing dataset (Reanalyze).
+// Runner is the entry point: a configured pipeline that can execute
+// the full study (Run) or re-run the post-crawl analysis over an
+// existing run's walks (Reanalyze).
 type Runner struct {
 	cfg Config
 }
@@ -141,28 +141,20 @@ func (r *Runner) Run(ctx context.Context) (*Run, error) {
 	return core.ExecuteContext(ctx, r.cfg)
 }
 
-// Reanalyze re-runs the post-crawl pipeline over run's recorded dataset
-// under the Runner's configuration. The crawl is not repeated.
+// Reanalyze re-runs the post-crawl analysis pipeline (path
+// reconstruction, candidate extraction, UID identification,
+// aggregation) over an existing run's recorded walks under the Runner's
+// configuration — e.g. a different Parallelism or identification
+// options. The crawl is not repeated; results are bit-identical for any
+// Parallelism. A run with a decoded Dataset is re-analysed in memory; a
+// store-backed run (AnalyzeStore) replays its walks from the store.
+// Cancellation stops every stage from taking new work and returns
+// ctx's error.
 func (r *Runner) Reanalyze(ctx context.Context, run *Run) (*Run, error) {
+	if run.Dataset == nil {
+		return core.AnalyzeSource(ctx, r.cfg, run.World, run.Analysis.Source())
+	}
 	return core.AnalyzeContext(ctx, r.cfg, run.World, run.Dataset)
-}
-
-// Execute builds the synthetic web, runs the four-crawler crawl and the
-// token pipeline, and returns the analysed run.
-//
-// Deprecated: use NewRunner(cfg).Run(context.Background()). Execute
-// remains as a thin wrapper and will keep working.
-func Execute(cfg Config) (*Run, error) { return NewRunner(cfg).Run(context.Background()) }
-
-// ExecuteContext is Execute with cancellation: when ctx is cancelled the
-// crawl drains gracefully — in-flight walks finish, unstarted walks are
-// recorded as skipped — and ctx's error is returned. Pair with
-// Config.Checkpoint to resume later.
-//
-// Deprecated: use NewRunner(cfg).Run(ctx). ExecuteContext remains as a
-// thin wrapper and will keep working.
-func ExecuteContext(ctx context.Context, cfg Config) (*Run, error) {
-	return NewRunner(cfg).Run(ctx)
 }
 
 // --- Resilience -------------------------------------------------------------
@@ -202,27 +194,6 @@ func OpenCheckpointTel(path string, seed int64, tel *Telemetry) (*Checkpoint, er
 	return crawler.OpenCheckpointOpts(path, seed, runio.OpenOptions{Tel: tel})
 }
 
-// Reanalyze re-runs the post-crawl analysis pipeline (path
-// reconstruction, candidate extraction, UID identification, aggregation)
-// over an existing run's recorded dataset under a new configuration —
-// e.g. a different Parallelism or identification options. The crawl is
-// not repeated; results are bit-identical for any Parallelism.
-func Reanalyze(cfg Config, r *Run) (*Run, error) {
-	return ReanalyzeContext(context.Background(), cfg, r)
-}
-
-// ReanalyzeContext is Reanalyze bounded by ctx: cancellation stops
-// every analysis stage's shard pool from taking new work and returns
-// ctx's error.
-func ReanalyzeContext(ctx context.Context, cfg Config, r *Run) (*Run, error) {
-	if r.Dataset == nil {
-		// A store-loaded run has no decoded dataset; replay the walks
-		// through its analysis source instead.
-		return core.AnalyzeSource(ctx, cfg, r.World, r.Analysis.Source())
-	}
-	return core.AnalyzeContext(ctx, cfg, r.World, r.Dataset)
-}
-
 // WriteReport renders the full evaluation report — every table and figure
 // — as text.
 func WriteReport(w io.Writer, r *Run) { report.Render(w, r) }
@@ -245,23 +216,14 @@ type Provenance = telemetry.Provenance
 type TraceSummary = telemetry.TraceSummary
 
 // NewTelemetry returns a telemetry handle with the default span
-// capacity. The virtual clock attaches automatically when Execute wires
-// the handle to the network.
+// capacity. The virtual clock attaches automatically when Runner.Run
+// wires the handle to the network.
 func NewTelemetry() *Telemetry { return telemetry.New(nil, telemetry.DefaultSpanCapacity) }
 
 // WriteTrace exports a traced run's spans as JSONL for cmd/crumbtrace.
 func WriteTrace(path string, t *Telemetry) error {
 	return t.Tracer().WriteJSONLFile(path)
 }
-
-// RunFormat and RunVersion identify the saved-run document format. The
-// versioned header is shared with the checkpoint and analysis-state
-// files through the internal runio codec; pre-header files (written
-// before this versioning existed) still load.
-const (
-	RunFormat  = runio.RunFormat
-	RunVersion = runio.RunVersion
-)
 
 // --- Run storage (RunStore API) ----------------------------------------------
 
@@ -270,8 +232,9 @@ const (
 // the whole run through a cursor without ever materialising the
 // decoded dataset in memory. Two backends ship — a single CRC-framed
 // line file and a sharded, gzip-compressed segment directory with a
-// sidecar index (see internal/runstore) — and legacy SaveRun documents
-// open read-only through the same interface.
+// sidecar index (see internal/runstore) — and legacy single-document
+// runs (written before the RunStore existed) open read-only through
+// the same interface.
 type RunStore = runstore.Store
 
 // RunCursor iterates a RunStore's walks in ascending index order; Next
@@ -325,13 +288,12 @@ func CreateRunStore(path string, cfg Config) (RunStore, error) {
 
 // OpenRunStore opens an existing run store, sniffing the backend: a
 // directory is a segment store, a file is a line store or a legacy
-// single-document run (the deprecated SaveRun format, served
-// read-only).
+// single-document run (the pre-RunStore format, served read-only).
 func OpenRunStore(path string) (RunStore, error) { return runstore.Open(path) }
 
 // SaveRunStore writes a completed run's crawl to a new store at path
-// and finalizes it. It replaces the deprecated SaveRun; pick the
-// segment backend (a ".crumbs" path) for large runs.
+// and finalizes it. Pick the segment backend (a ".crumbs" path) for
+// large runs.
 func SaveRunStore(path string, r *Run) error {
 	st, err := CreateRunStore(path, r.Config)
 	if err != nil {
@@ -367,8 +329,8 @@ func SaveRunStore(path string, r *Run) error {
 // resident all at once. The returned Run has a nil Dataset and keeps
 // reading from st lazily — close st only after the Run is no longer
 // used. The synthetic world is rebuilt lazily from the stored
-// configuration; results are byte-identical to LoadRun on the same
-// walks.
+// configuration; results are byte-identical to the live run that
+// recorded the walks.
 func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
 	m := st.Manifest()
 	var cfg Config
@@ -400,86 +362,6 @@ func LoadRunStore(path string) (*Run, error) {
 		return nil, err
 	}
 	return AnalyzeStore(context.Background(), st)
-}
-
-// --- Deprecated single-document run APIs -------------------------------------
-
-// SavedRun is the single-document on-disk form of a crawl: a versioned
-// format header, the configuration (to rebuild the deterministic
-// world), the recorded dataset, and a provenance block describing how
-// and by what the file was produced.
-//
-// Deprecated: the document format requires decoding the entire run to
-// read any of it. New code records through the RunStore API
-// (CreateRunStore / SaveRunStore); existing documents keep loading via
-// OpenRunStore and LoadRun.
-type SavedRun struct {
-	runio.Header
-	Config     Config      `json:"config"`
-	Provenance *Provenance `json:"provenance,omitempty"`
-	Dataset    *Dataset    `json:"dataset"`
-}
-
-// EncodeRun writes a run's crawl as a versioned JSON document. When the
-// run was executed with telemetry attached, the provenance block
-// includes its metrics snapshot.
-//
-// Deprecated: use SaveRunStore, which writes the streamable RunStore
-// formats. EncodeRun remains for producing the legacy single-document
-// form and will keep working.
-func EncodeRun(w io.Writer, r *Run) error {
-	prov := telemetry.NewProvenance(r.Config.World.Seed, r.Config, r.Config.Telemetry)
-	doc := SavedRun{
-		Header:     runio.Header{Format: RunFormat, Version: RunVersion, Seed: r.Config.World.Seed},
-		Config:     r.Config,
-		Provenance: &prov,
-		Dataset:    r.Dataset,
-	}
-	if err := runio.WriteDocument(w, doc); err != nil {
-		return fmt.Errorf("crumbcruncher: encode run: %w", err)
-	}
-	return nil
-}
-
-// DecodeRun reads a saved crawl from rd and re-runs the analysis
-// pipeline over it. The synthetic world is rebuilt deterministically
-// from the saved configuration. Documents from before the versioned
-// header are accepted.
-//
-// Deprecated: use OpenRunStore + AnalyzeStore (or LoadRunStore), which
-// stream the run by cursor instead of decoding it whole. DecodeRun
-// remains for in-memory readers of the legacy document form.
-func DecodeRun(rd io.Reader) (*Run, error) {
-	var saved SavedRun
-	want := runio.Header{Format: RunFormat, Version: RunVersion}
-	if err := runio.ReadDocument(rd, want, &saved); err != nil {
-		return nil, fmt.Errorf("crumbcruncher: decode run: %w", err)
-	}
-	world := web.BuildWorld(saved.Config.World)
-	return core.Analyze(saved.Config, world, saved.Dataset)
-}
-
-// SaveRun writes a run's crawl to a file for later re-analysis with
-// cmd/crumbreport. The file lands atomically — a crash mid-save leaves
-// the previous content (or nothing), never a torn run.
-//
-// Deprecated: use SaveRunStore. SaveRun is a thin shim over it and now
-// writes the line-backend RunStore format (readable by LoadRun,
-// OpenRunStore and every current tool, but not by pre-RunStore
-// builds); writers that need the legacy single-document form call
-// EncodeRun directly.
-func SaveRun(path string, r *Run) error {
-	return SaveRunStore(path, r)
-}
-
-// LoadRun reads a saved crawl and re-runs the analysis pipeline over
-// it. Every stored form loads: RunStore line files and segment
-// directories, and legacy single-document runs.
-//
-// Deprecated: use LoadRunStore (or OpenRunStore + AnalyzeStore to
-// manage the store handle). LoadRun is a thin shim over LoadRunStore.
-func LoadRun(path string) (*Run, error) {
-	return LoadRunStore(path)
 }
 
 // --- Countermeasures (§7) ---------------------------------------------------

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"net/url"
 	"testing"
 
@@ -12,6 +13,16 @@ import (
 	"crumbcruncher/internal/tokens"
 	"crumbcruncher/internal/uid"
 )
+
+// build runs NewFromSource sequentially over ds and fails t on error.
+func build(t *testing.T, ds *crawler.Dataset, paths []*tokens.Path, cases []*uid.Case) *Analysis {
+	t.Helper()
+	a, err := NewFromSource(context.Background(), ds, paths, cases, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 // path builds a tokens.Path from URLs.
 func path(t *testing.T, crawlerName string, walk, step int, urls ...string) *tokens.Path {
@@ -88,7 +99,7 @@ func testAnalysis(t *testing.T) (*Analysis, []*tokens.Path, []*uid.Case) {
 		caseOn(p8, "atok", 1, 2, uid.BucketSingle),
 	}
 	ds := &crawler.Dataset{} // figures under test here don't need records
-	return New(ds, paths, cases), paths, cases
+	return build(t, ds, paths, cases), paths, cases
 }
 
 func TestSummarize(t *testing.T) {
@@ -321,7 +332,7 @@ func dsWithRecords(t *testing.T) (*Analysis, []*uid.Case) {
 			}},
 		}},
 	}
-	return New(ds, []*tokens.Path{p1}, []*uid.Case{c1}), []*uid.Case{c1}
+	return build(t, ds, []*tokens.Path{p1}, []*uid.Case{c1}), []*uid.Case{c1}
 }
 
 func TestThirdPartyReceivers(t *testing.T) {

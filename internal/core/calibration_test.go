@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"sort"
 	"testing"
@@ -15,7 +16,7 @@ func TestCalibrationReport(t *testing.T) {
 	if os.Getenv("CRUMB_CALIBRATE") == "" {
 		t.Skip("set CRUMB_CALIBRATE=1 to run the paper-scale calibration")
 	}
-	r, err := Execute(DefaultConfig())
+	r, err := ExecuteContext(context.Background(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

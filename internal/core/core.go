@@ -36,9 +36,10 @@ type Config struct {
 	// number of concurrent walks during the crawl and the worker-pool
 	// size of every post-crawl analysis stage (path reconstruction,
 	// candidate extraction, UID identification, aggregation). Every
-	// post-crawl stage is bit-identical for any value (see Reanalyze);
-	// the crawl itself is only run-repeatable at 1, because concurrent
-	// walks share the virtual clock whose readings reach page URLs. 0
+	// post-crawl stage is bit-identical for any value (Runner.Reanalyze
+	// re-runs them at another); the crawl itself is only
+	// run-repeatable at 1, because concurrent walks share the virtual
+	// clock whose readings reach page URLs. 0
 	// means sequential; DefaultConfig sets 12, the paper's EC2 count.
 	Parallelism int
 	// Machines is the number of simulated crawl machines the walks'
@@ -157,11 +158,6 @@ type Run struct {
 	Lifetimes  *uid.LifetimeIndex
 }
 
-// Execute runs the full pipeline.
-func Execute(cfg Config) (*Run, error) {
-	return ExecuteContext(context.Background(), cfg)
-}
-
 // ExecuteContext runs the full pipeline under ctx. Cancelling mid-crawl
 // drains in-flight walks gracefully (recording them to the checkpoint,
 // when one is attached) and returns ctx's error; the analysis stages are
@@ -267,23 +263,19 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 	}
 }
 
-// Analyze runs the post-crawl pipeline over an existing dataset (used by
-// cmd/crumbreport to re-analyse saved crawls and by ablations to re-run
-// identification with different options). Every stage is sharded over
-// cfg.Parallelism workers with deterministic merging, so the output is
-// bit-identical to a sequential pass.
-func Analyze(cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
-	return AnalyzeContext(context.Background(), cfg, world, ds)
-}
-
-// AnalyzeContext is Analyze bounded by ctx: cancellation stops every
-// stage's shard pool from taking new work and returns ctx's error.
+// AnalyzeContext is the batch post-crawl pipeline over an in-memory
+// dataset: path reconstruction, candidate extraction, UID
+// identification and aggregation, each sharded over cfg.Parallelism
+// workers with deterministic merging, so the output is bit-identical to
+// a sequential pass — and to the streaming engine (see
+// Config.BatchAnalysis). Cancellation stops every stage's shard pool
+// from taking new work and returns ctx's error.
 func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
 	tel := cfg.Telemetry
 	par := cfg.analysisParallelism()
 
 	sp := tel.StartSpan("analysis", "paths")
-	paths, err := tokens.PathsFromDatasetCtx(ctx, ds, par, tel)
+	paths, err := tokens.PathsFromDataset(ctx, ds, par, tel)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("core: paths: %w", err)
@@ -291,7 +283,7 @@ func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawl
 	sp.End()
 
 	sp = tel.StartSpan("analysis", "candidates")
-	cands, err := tokens.AllCandidatesCtx(ctx, paths, par, tel)
+	cands, err := tokens.AllCandidates(ctx, paths, par, tel)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("core: candidates: %w", err)
@@ -313,7 +305,7 @@ func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawl
 		opt.Telemetry = tel
 	}
 	sp = tel.StartSpan("analysis", "identify")
-	cases, stats, err := uid.IdentifyCtx(ctx, cands, opt)
+	cases, stats, err := uid.Identify(ctx, cands, opt)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("core: identify: %w", err)
@@ -321,7 +313,7 @@ func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawl
 	sp.End()
 
 	sp = tel.StartSpan("analysis", "aggregate")
-	agg, err := analysis.NewContext(ctx, ds, paths, cases, par, tel)
+	agg, err := analysis.NewFromSource(ctx, ds, paths, cases, par, tel)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, fmt.Errorf("core: aggregate: %w", err)
@@ -351,7 +343,7 @@ func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Ana
 	if opt.Parallelism == 0 {
 		opt.Parallelism = par
 	}
-	cases, stats := uid.Identify(r.Candidates, opt)
+	cases, stats, _ := uid.Identify(context.Background(), r.Candidates, opt)
 	var src analysis.WalkSource = r.Dataset
 	if r.Dataset == nil {
 		src = r.Analysis.Source() // store-backed run: replay from the store

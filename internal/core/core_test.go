@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -23,7 +24,7 @@ func sharedRun(t *testing.T) *Run {
 	runOnce.Do(func() {
 		cfg := SmallConfig()
 		cfg.Walks = 60
-		testRun, runErr = Execute(cfg)
+		testRun, runErr = ExecuteContext(context.Background(), cfg)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -424,7 +425,7 @@ func TestConfigMachinesPlumbed(t *testing.T) {
 		t.Fatalf("SmallConfig().Machines = %d, want 0 (single machine)", got)
 	}
 	// The knob must reach the crawl rather than being hard-coded: the
-	// crawler config Execute builds must carry exactly the configured
+	// crawler config ExecuteContext builds must carry exactly the configured
 	// machine count (a previous version pinned 12 for every run).
 	cfg := SmallConfig()
 	cfg.Machines = 5

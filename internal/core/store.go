@@ -9,37 +9,50 @@ import (
 	"crumbcruncher/internal/analysis"
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/runstore"
-	"crumbcruncher/internal/tokens"
-	"crumbcruncher/internal/uid"
 	"crumbcruncher/internal/web"
 )
 
 // storeSource adapts a runstore.Store to the analysis.WalkSource
-// contract. Step totals and outcome counts are tallied once during the
-// feed pass — the one full-store scan AnalyzeStore performs anyway —
-// so the figure code never re-reads the store for counters.
+// contract. Its first complete pass — the feed pass AnalyzeSource makes
+// anyway — also tallies step totals and outcome counts, so the figure
+// code never re-reads the store for counters.
 type storeSource struct {
 	st       runstore.Store
-	walks    int
 	steps    int
-	outcomes map[crawler.StepOutcome]int
+	outcomes map[crawler.StepOutcome]int // nil until the first pass completes
 }
 
-func (s *storeSource) WalkCount() int { return s.walks }
+func (s *storeSource) WalkCount() int { return s.st.Walks() }
 func (s *storeSource) StepCount() int { return s.steps }
 
 func (s *storeSource) OutcomeCounts() map[crawler.StepOutcome]int { return s.outcomes }
 
 func (s *storeSource) ForEachWalk(fn func(*crawler.Walk) error) error {
+	var (
+		steps    int
+		outcomes map[crawler.StepOutcome]int
+	)
+	if s.outcomes == nil {
+		outcomes = map[crawler.StepOutcome]int{}
+	}
 	cur := s.st.Iter()
 	defer cur.Close()
 	for {
 		w, err := cur.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
+		if errors.Is(err, io.EOF) {
+			if outcomes != nil {
+				s.steps, s.outcomes = steps, outcomes
 			}
+			return nil
+		}
+		if err != nil {
 			return err
+		}
+		if outcomes != nil {
+			steps += len(w.Steps)
+			for _, st := range w.Steps {
+				outcomes[st.Outcome]++
+			}
 		}
 		if err := fn(w); err != nil {
 			return err
@@ -55,113 +68,45 @@ func (s *storeSource) Walk(idx int) *crawler.Walk {
 	return w
 }
 
-// observe folds one walk into the cached counters.
-func (s *storeSource) observe(w *crawler.Walk) {
-	s.walks++
-	s.steps += len(w.Steps)
-	for _, st := range w.Steps {
-		s.outcomes[st.Outcome]++
-	}
-}
-
 // AnalyzeStore runs the post-crawl pipeline over a stored run by
-// cursor: each walk streams through token extraction, lifetime
-// scanning and UID grouping exactly as the live streaming engine does,
-// and the figure aggregation replays the store on demand. The decoded
-// dataset is never resident all at once — memory is O(paths +
-// candidates + one segment) — so 100k-walk stores analyse within a
-// laptop-class budget. Results are byte-identical to loading the whole
-// run and calling Analyze, because both paths fold the same walks in
-// the same index order through the same accumulators.
+// cursor: see AnalyzeSource. The decoded dataset is never resident all
+// at once — memory is O(paths + candidates + one segment) — so
+// 100k-walk stores analyse within a laptop-class budget.
 //
 // The returned Run has a nil Dataset; every consumer in the tree
 // (metrics, report, Reidentify, MissedRefererTransfers) reads walk
 // statistics through Run.Analysis instead.
 func AnalyzeStore(ctx context.Context, cfg Config, world *web.World, st runstore.Store) (*Run, error) {
-	src := &storeSource{st: st, outcomes: map[crawler.StepOutcome]int{}}
-	return analyzeFeed(ctx, cfg, world, src, st.Walks(), func(fn func(*crawler.Walk) error) error {
-		cur := st.Iter()
-		defer cur.Close()
-		for {
-			w, err := cur.Next()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return err
-			}
-			src.observe(w)
-			if err := fn(w); err != nil {
-				return err
-			}
-		}
-	})
+	return AnalyzeSource(ctx, cfg, world, &storeSource{st: st})
 }
 
-// AnalyzeSource is AnalyzeStore for a walk source that already knows
-// its walk count — a Dataset, or the cached source of a previously
-// analyzed store-backed run. ReanalyzeContext uses it to re-run the
-// pipeline with altered settings when no decoded dataset exists.
+// AnalyzeSource runs the post-crawl pipeline over any walk source — a
+// run store, a Dataset, or the source of a previously analysed
+// store-backed run: each walk streams through token extraction,
+// lifetime scanning and UID grouping exactly as the live streaming
+// engine feeds them, and the figure aggregation replays src on demand.
+// Results are byte-identical to AnalyzeContext over the decoded
+// dataset, because both paths fold the same walks in the same index
+// order. The returned Run has a nil Dataset.
 func AnalyzeSource(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource) (*Run, error) {
-	return analyzeFeed(ctx, cfg, world, src, src.WalkCount(), src.ForEachWalk)
-}
-
-// analyzeFeed streams walks from iter through the same accumulators the
-// live streaming engine uses, then aggregates figures over src — so
-// results are byte-identical to Analyze over the decoded dataset.
-func analyzeFeed(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource, total int,
-	iter func(func(*crawler.Walk) error) error) (*Run, error) {
-	tel := cfg.Telemetry
-	par := cfg.analysisParallelism()
-
-	acc := tokens.NewAccumulator(cfg.World.Seed, total, crawler.AllCrawlers, tel)
-	lifeAcc := uid.NewLifetimeAccumulator(total)
-	opt := cfg.Identify
-	if opt.Parallelism == 0 {
-		opt.Parallelism = par
-	}
-	if opt.Telemetry == nil {
-		opt.Telemetry = tel
-	}
-	ident := uid.NewStreamIdentifier(total, opt)
-
-	sp := tel.StartSpan("core", "analyze_store")
-	ierr := iter(func(w *crawler.Walk) error {
+	feed := newWalkFeed(cfg, src.WalkCount())
+	sp := cfg.Telemetry.StartSpan("core", "analyze_store")
+	err := src.ForEachWalk(func(w *crawler.Walk) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lifeAcc.AddWalk(w)
-		wt := acc.AddWalk(w)
-		ident.AddWalk(w.Index, wt.Candidates)
+		feed.add(w)
 		return nil
 	})
-	if ierr != nil {
-		sp.EndErr(ierr)
-		return nil, fmt.Errorf("core: analyze store: %w", ierr)
-	}
-
-	paths, cands := acc.Drain()
-	lifetimes := lifeAcc.Drain()
-	cases, stats, err := ident.Drain(ctx, lifetimes)
 	if err != nil {
 		sp.EndErr(err)
-		return nil, fmt.Errorf("core: identify: %w", err)
+		return nil, fmt.Errorf("core: analyze store: %w", err)
 	}
-	agg, err := analysis.NewFromSource(ctx, src, paths, cases, par, tel)
+	run, err := feed.drain(ctx, world, src)
 	if err != nil {
 		sp.EndErr(err)
-		return nil, fmt.Errorf("core: aggregate: %w", err)
+		return nil, err
 	}
 	sp.End()
-
-	return &Run{
-		Config:     cfg,
-		World:      world,
-		Paths:      paths,
-		Candidates: cands,
-		Cases:      cases,
-		Stats:      stats,
-		Analysis:   agg,
-		Lifetimes:  lifetimes,
-	}, nil
+	return run, nil
 }

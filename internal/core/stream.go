@@ -123,16 +123,7 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 		}
 	}
 
-	acc := tokens.NewAccumulator(cfg.World.Seed, walks, crawler.AllCrawlers, tel)
-	lifeAcc := uid.NewLifetimeAccumulator(walks)
-	opt := cfg.Identify
-	if opt.Parallelism == 0 {
-		opt.Parallelism = par
-	}
-	if opt.Telemetry == nil {
-		opt.Telemetry = tel
-	}
-	ident := uid.NewStreamIdentifier(walks, opt)
+	feed := newWalkFeed(cfg, walks)
 
 	notify := newProgressNotifier(cfg.OnProgress, walks)
 	queueDepth := reg.Gauge("core.stream_queue_depth")
@@ -153,21 +144,18 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 				queueDepth.Add(-1)
 				sp := tel.StartSpan("analysis", "stream_walk").
 					Attr("walk", strconv.Itoa(w.Index))
-				lifeAcc.AddWalk(w)
-				wt, ok := restored[w.Index]
-				if ok {
-					acc.Restore(w.Index, wt)
+				if wt, ok := restored[w.Index]; ok {
+					feed.restore(w, wt)
 					restoredCtr.Inc()
 					sp.Attr("restored", "true")
 				} else {
-					wt = acc.AddWalk(w)
+					wt = feed.add(w)
 					if sidecar != nil && !w.Skipped {
 						if err := sidecar.Append(analysisEntry{Index: w.Index, Tokens: wt}); err != nil {
 							sidecarErrs.Inc()
 						}
 					}
 				}
-				ident.AddWalk(w.Index, wt.Candidates)
 				sp.End()
 				analyzed.Inc()
 				notify.update(func(p *Progress) {
@@ -206,27 +194,82 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 	// Drain: merge every per-walk product in walk-index order and run
 	// the cross-walk stages.
 	dsp := tel.StartSpan("analysis", "stream_drain")
-	paths, cands := acc.Drain()
-	lifetimes := lifeAcc.Drain()
-	cases, stats, err := ident.Drain(ctx, lifetimes)
+	run, err := feed.drain(ctx, world, ds)
 	if err != nil {
 		dsp.EndErr(err)
 		esp.EndErr(err)
-		return nil, fmt.Errorf("core: identify: %w", err)
-	}
-	agg, err := analysis.NewContext(ctx, ds, paths, cases, par, tel)
-	if err != nil {
-		dsp.EndErr(err)
-		esp.EndErr(err)
-		return nil, fmt.Errorf("core: aggregate: %w", err)
+		return nil, err
 	}
 	dsp.End()
 	esp.End()
+	run.Dataset = ds
+	return run, nil
+}
 
+// walkFeed is the incremental post-crawl pipeline: every walk pushed
+// into it goes through token extraction, cookie-lifetime scanning and
+// UID grouping on its own, and one drain merges the per-walk products
+// in walk-index order and runs the cross-walk stages. The live crawl's
+// WalkSink workers and the store cursor (AnalyzeSource) both feed one,
+// which is why a store re-analysis reproduces the live run byte for
+// byte.
+type walkFeed struct {
+	cfg   Config
+	acc   *tokens.Accumulator
+	life  *uid.LifetimeAccumulator
+	ident *uid.StreamIdentifier
+}
+
+func newWalkFeed(cfg Config, walks int) *walkFeed {
+	opt := cfg.Identify
+	if opt.Parallelism == 0 {
+		opt.Parallelism = cfg.analysisParallelism()
+	}
+	if opt.Telemetry == nil {
+		opt.Telemetry = cfg.Telemetry
+	}
+	return &walkFeed{
+		cfg:   cfg,
+		acc:   tokens.NewAccumulator(cfg.World.Seed, walks, crawler.AllCrawlers, cfg.Telemetry),
+		life:  uid.NewLifetimeAccumulator(walks),
+		ident: uid.NewStreamIdentifier(walks, opt),
+	}
+}
+
+// add folds one walk into the feed and returns its extracted tokens.
+// Calls for distinct walk indices may run concurrently.
+func (f *walkFeed) add(w *crawler.Walk) tokens.WalkTokens {
+	f.life.AddWalk(w)
+	wt := f.acc.AddWalk(w)
+	f.ident.AddWalk(w.Index, wt.Candidates)
+	return wt
+}
+
+// restore is add with the walk's tokens taken from a resume sidecar
+// instead of being extracted again.
+func (f *walkFeed) restore(w *crawler.Walk, wt tokens.WalkTokens) {
+	f.life.AddWalk(w)
+	f.acc.Restore(w.Index, wt)
+	f.ident.AddWalk(w.Index, wt.Candidates)
+}
+
+// drain merges the fed walks, identifies UIDs across them and
+// aggregates the figures over src. The returned Run has no Dataset;
+// callers holding one attach it.
+func (f *walkFeed) drain(ctx context.Context, world *web.World, src analysis.WalkSource) (*Run, error) {
+	paths, cands := f.acc.Drain()
+	lifetimes := f.life.Drain()
+	cases, stats, err := f.ident.Drain(ctx, lifetimes)
+	if err != nil {
+		return nil, fmt.Errorf("core: identify: %w", err)
+	}
+	agg, err := analysis.NewFromSource(ctx, src, paths, cases, f.cfg.analysisParallelism(), f.cfg.Telemetry)
+	if err != nil {
+		return nil, fmt.Errorf("core: aggregate: %w", err)
+	}
 	return &Run{
-		Config:     cfg,
+		Config:     f.cfg,
 		World:      world,
-		Dataset:    ds,
 		Paths:      paths,
 		Candidates: cands,
 		Cases:      cases,

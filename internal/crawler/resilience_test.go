@@ -405,7 +405,7 @@ func TestCircuitBreakerFailsFast(t *testing.T) {
 	tel := telemetry.New(nil, 256)
 	n := deadNetwork(7)
 	// Bind the network's counters (breaker_open et al.) to the registry;
-	// core.Execute does this wiring, Crawl alone does not.
+	// core.ExecuteContext does this wiring, Crawl alone does not.
 	n.SetTelemetry(tel)
 	ds, err := Crawl(Config{
 		Seed:             7,

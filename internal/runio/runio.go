@@ -32,7 +32,7 @@ import (
 
 // Artifact format identifiers.
 const (
-	// RunFormat is a saved crawl (SaveRun / EncodeRun).
+	// RunFormat is a legacy single-document saved crawl.
 	RunFormat = "crumbcruncher/run"
 	// CheckpointFormat is an incremental walk checkpoint.
 	CheckpointFormat = "crumbcruncher/checkpoint"

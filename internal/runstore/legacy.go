@@ -11,8 +11,8 @@ import (
 	"crumbcruncher/internal/runio"
 )
 
-// legacyStore serves a single-document SaveRun file — the format the
-// deprecated SaveRun/EncodeRun wrote — read-only through the Store
+// legacyStore serves a single-document run file — the format saved runs
+// had before the RunStore existed — read-only through the Store
 // interface, so old runs keep working with every runstore reader. The
 // whole document decodes on open (the format offers no random access),
 // which is exactly the cost profile the segment backend replaces.
@@ -22,8 +22,8 @@ type legacyStore struct {
 	order    []int
 }
 
-// legacyDoc mirrors the deprecated SavedRun document without importing
-// the root package: config and provenance stay raw.
+// legacyDoc mirrors the single-document run layout: config and
+// provenance stay raw.
 type legacyDoc struct {
 	runio.Header
 	Config     json.RawMessage  `json:"config"`

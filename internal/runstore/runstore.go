@@ -10,7 +10,7 @@
 //
 //   - line: a single CRC-framed JSONL file (the runio.LineFile format
 //     the checkpoint layer already uses). Simple, greppable, and the
-//     natural migration target for the old single-document SaveRun
+//     natural migration target for the old single-document run
 //     files. Random access decodes from an in-memory raw-record table,
 //     so memory is O(compressed file), not O(decoded dataset).
 //   - segment: a directory of fixed-size walk segments, gzip-compressed
@@ -18,7 +18,7 @@
 //     atomically rewritten manifest. Memory is O(one segment); this is
 //     the backend for 100k-walk datasets.
 //
-// Legacy single-document SaveRun files open read-only through the same
+// Legacy single-document run files open read-only through the same
 // interface, so every reader in the tree speaks runstore regardless of
 // how a run was written. The package depends only on crawler and runio;
 // analysis layers sit above it.
@@ -131,7 +131,7 @@ func Create(path string, backend Backend, m Manifest) (Store, error) {
 
 // Open opens an existing store at path, sniffing the backend: a
 // directory is a segment store; a file is a line store or — for runs
-// written by the deprecated SaveRun — a legacy single-document run,
+// saved before the RunStore existed — a legacy single-document run,
 // served read-only through the same interface.
 func Open(path string) (Store, error) {
 	fi, err := os.Stat(path)
@@ -160,7 +160,7 @@ const (
 )
 
 // sniffFile distinguishes a line-backend walk file from a legacy
-// single-document SaveRun file without decoding either: a line store's
+// single-document run file without decoding either: a line store's
 // first frame carries the WalksFormat header; everything else — framed
 // run documents and pre-framing raw JSON — is legacy.
 func sniffFile(path string) (fileKind, error) {

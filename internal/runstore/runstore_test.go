@@ -247,7 +247,7 @@ func TestCrossBackendCopy(t *testing.T) {
 }
 
 func TestOpenLegacyDocument(t *testing.T) {
-	// A legacy single-document run (the deprecated SaveRun format) reads
+	// A legacy single-document run (the pre-RunStore format) reads
 	// through the same Store interface.
 	path := filepath.Join(t.TempDir(), "legacy.json")
 	ds := &crawler.Dataset{Seed: 21, Crawlers: []string{"safari1"}}

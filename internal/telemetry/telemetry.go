@@ -48,7 +48,7 @@ type Telemetry struct {
 
 	// clock is set atomically: the handle is typically created before
 	// the virtual clock exists (the network owning the clock is built
-	// inside Execute) and wired when instrumentation attaches.
+	// inside a pipeline run) and wired when instrumentation attaches.
 	clock atomic.Value // Clock
 }
 

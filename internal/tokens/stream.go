@@ -90,7 +90,7 @@ func (wt *WalkTokens) UnmarshalJSON(data []byte) error {
 // streaming engine. Each walk is processed independently (AddWalk on
 // distinct indices may run concurrently from several workers) and Drain
 // merges the per-walk results in walk-index order — the same order the
-// batch entry points (PathsFromDataset*, AllCandidates*) produce, so
+// batch entry points (PathsFromDataset, AllCandidates) produce, so
 // the merged output is bit-identical to the batch pass.
 type Accumulator struct {
 	names       []string

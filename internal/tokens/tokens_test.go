@@ -1,6 +1,7 @@
 package tokens
 
 import (
+	"context"
 	"net/url"
 	"sort"
 	"testing"
@@ -290,17 +291,24 @@ func TestPathsFromDatasetRespectsCrawlerList(t *testing.T) {
 			}},
 		}},
 	}
-	paths := PathsFromDataset(ds)
+	ctx := context.Background()
+	paths, err := PathsFromDataset(ctx, ds, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(paths) != 2 {
 		t.Fatalf("paths = %d, want 2 (custom crawler names)", len(paths))
 	}
-	cands := AllCandidates(paths)
+	cands, err := AllCandidates(ctx, paths, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %d", len(cands))
 	}
 	// Records without a navigation chain are skipped.
 	ds.Walks[0].Steps[0].Records["Seq-1"].NavChain = nil
-	if got := PathsFromDataset(ds); len(got) != 1 {
+	if got, _ := PathsFromDataset(ctx, ds, 1, nil); len(got) != 1 {
 		t.Fatalf("paths after chain removal = %d", len(got))
 	}
 }

@@ -13,8 +13,8 @@ import (
 // TestRunStoreMetricsIdentical pins the RunStore acceptance bar: a
 // crawl saved to the line backend and to the segment backend, then
 // re-analysed by cursor through AnalyzeStore, reproduces the in-memory
-// run's metrics JSON byte for byte — at analysis parallelism 1, 4 and
-// 16.
+// run's metrics JSON byte for byte — and so does Runner.Reanalyze of
+// the store-backed run at analysis parallelism 1, 4 and 16.
 func TestRunStoreMetricsIdentical(t *testing.T) {
 	cfg := crumbcruncher.SmallConfig()
 	cfg.World.Seed = 7
@@ -64,7 +64,7 @@ func TestRunStoreMetricsIdentical(t *testing.T) {
 		for _, par := range []int{1, 4, 16} {
 			pcfg := run.Config
 			pcfg.Parallelism = par
-			rerun, err := crumbcruncher.ReanalyzeContext(context.Background(), pcfg, run)
+			rerun, err := crumbcruncher.NewRunner(pcfg).Reanalyze(context.Background(), run)
 			if err != nil {
 				t.Fatalf("%s: reanalyze par=%d: %v", name, par, err)
 			}
