@@ -16,6 +16,8 @@ package crumbcruncher_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -903,5 +905,76 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(out.Cases)), "uid-cases")
 		})
+	}
+}
+
+// --- Runstore: the crumbreport path per backend -------------------------------
+
+var (
+	storeRunsMu sync.Mutex
+	storeRuns   = map[int]*crumbcruncher.Run{}
+)
+
+// storeRun crawls a SmallConfig run of the given size once per process.
+func storeRun(b *testing.B, walks int) *crumbcruncher.Run {
+	b.Helper()
+	storeRunsMu.Lock()
+	defer storeRunsMu.Unlock()
+	if r := storeRuns[walks]; r != nil {
+		return r
+	}
+	cfg := crumbcruncher.SmallConfig()
+	cfg.Walks = walks
+	r, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	storeRuns[walks] = r
+	return r
+}
+
+// BenchmarkReportFromStore is the runstore layer under the crumbreport
+// path, per backend and run size: OpenRunStore → AnalyzeStore → metrics
+// JSON → text report over a saved SmallConfig run. passes/op and gets/op
+// count the store's full cursor passes and point reads per report (two
+// and zero since the figures share one memoized scan).
+func BenchmarkReportFromStore(b *testing.B) {
+	for _, backend := range []string{"segment", "line"} {
+		for _, walks := range []int{100, 600} {
+			b.Run(fmt.Sprintf("%s/walks-%d", backend, walks), func(b *testing.B) {
+				name := map[string]string{"segment": "run.crumbs", "line": "run.walks"}[backend]
+				path := filepath.Join(b.TempDir(), name)
+				if err := crumbcruncher.SaveRunStore(path, storeRun(b, walks)); err != nil {
+					b.Fatal(err)
+				}
+				var passes, gets int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st, err := crumbcruncher.OpenRunStore(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cs := &passCountingStore{Store: st}
+					run, err := crumbcruncher.AnalyzeStore(context.Background(), cs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := crumbcruncher.WriteMetricsJSON(io.Discard, run); err != nil {
+						b.Fatal(err)
+					}
+					crumbcruncher.WriteReport(io.Discard, run)
+					if err := st.Close(); err != nil {
+						b.Fatal(err)
+					}
+					p, g := cs.counts()
+					passes += p
+					gets += g
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+				b.ReportMetric(float64(gets)/float64(b.N), "gets/op")
+				b.ReportMetric(float64(walks*b.N)/b.Elapsed().Seconds(), "walks/s")
+			})
+		}
 	}
 }

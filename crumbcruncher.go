@@ -195,7 +195,8 @@ func OpenCheckpointTel(path string, seed int64, tel *Telemetry) (*Checkpoint, er
 }
 
 // WriteReport renders the full evaluation report — every table and figure
-// — as text.
+// — as text. If replaying the run's walks for the figures failed, the
+// report says so under its header line.
 func WriteReport(w io.Writer, r *Run) { report.Render(w, r) }
 
 // --- Observability ----------------------------------------------------------
@@ -324,13 +325,15 @@ func SaveRunStore(path string, r *Run) error {
 
 // AnalyzeStore re-runs the analysis pipeline over a stored run by
 // cursor: walks stream through token extraction, lifetime scanning and
-// UID identification in index order, and the figure aggregation
-// replays the store on demand, so the decoded dataset is never
-// resident all at once. The returned Run has a nil Dataset and keeps
-// reading from st lazily — close st only after the Run is no longer
-// used. The synthetic world is rebuilt lazily from the stored
-// configuration; results are byte-identical to the live run that
-// recorded the walks.
+// UID identification in index order, so the decoded dataset is never
+// resident all at once. The returned Run has a nil Dataset and reads
+// st once more, in the single figure scan its first metrics or report
+// call triggers — close st only after the Run is no longer used. A
+// metrics JSON plus a report therefore cost two cursor passes and no
+// point reads; a read error in the second pass is returned by
+// WriteMetricsJSON and printed by WriteReport. The synthetic world is
+// rebuilt lazily from the stored configuration; results are
+// byte-identical to the live run that recorded the walks.
 func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
 	m := st.Manifest()
 	var cfg Config
@@ -352,8 +355,8 @@ func AnalyzeStore(ctx context.Context, st RunStore) (*Run, error) {
 }
 
 // LoadRunStore opens the store at path and re-runs the analysis over
-// it by cursor. The returned Run reads walk records from the store
-// lazily for the figures that need them; the store is closed when the
+// it by cursor. The returned Run reads the store once more, in one
+// figure scan on first use; the store is closed when the
 // process exits (use OpenRunStore + AnalyzeStore to manage the handle
 // explicitly).
 func LoadRunStore(path string) (*Run, error) {

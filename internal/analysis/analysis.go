@@ -11,6 +11,7 @@ package analysis
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/parallel"
@@ -21,16 +22,14 @@ import (
 
 // WalkSource abstracts where walk records come from: an in-memory
 // crawler.Dataset or a store cursor replaying them from disk. Every
-// figure that scans walks goes through this interface, so a
-// store-backed analysis produces byte-identical output to an in-memory
-// one by construction. ForEachWalk must deliver walks in ascending
-// index order; Walk returns nil for an unknown index.
+// figure that reads raw walks takes it from one memoized scan over
+// ForEachWalk, so a store-backed analysis produces byte-identical
+// output to an in-memory one by construction, and a report over a
+// stored run replays the store exactly once for all its figures.
+// ForEachWalk must deliver walks in ascending index order.
 type WalkSource interface {
 	WalkCount() int
-	StepCount() int
-	OutcomeCounts() map[crawler.StepOutcome]int
 	ForEachWalk(fn func(*crawler.Walk) error) error
-	Walk(idx int) *crawler.Walk
 }
 
 // Analysis holds the crawl products and the indexes derived from them.
@@ -53,6 +52,11 @@ type Analysis struct {
 	redirectors map[string]*redirectorAgg
 	// dedicated caches the classification.
 	dedicated map[string]bool
+
+	// scanOnce guards figures, the one scan over src that every
+	// walk-derived figure reads (scan.go).
+	scanOnce sync.Once
+	figures  *walkScan
 }
 
 // pathAgg aggregates one unique URL path.
@@ -244,7 +248,7 @@ func (a *Analysis) WalkCount() int { return a.src.WalkCount() }
 
 // StepCount returns the number of attempted steps in the analysed
 // crawl.
-func (a *Analysis) StepCount() int { return a.src.StepCount() }
+func (a *Analysis) StepCount() int { return a.scan().steps }
 
 // Summary is the paper's Table 2.
 type Summary struct {

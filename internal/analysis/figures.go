@@ -4,9 +4,7 @@ import (
 	"net/url"
 	"sort"
 
-	"crumbcruncher/internal/browser"
 	"crumbcruncher/internal/category"
-	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/entity"
 	"crumbcruncher/internal/publicsuffix"
 	"crumbcruncher/internal/stats"
@@ -60,42 +58,9 @@ func (a *Analysis) CategoryBreakdown(tax *category.Taxonomy) (originators, desti
 // ThirdPartyReceivers finds the registered domains of third-party web
 // requests sent from destination pages that included a confirmed UID —
 // whether deliberately or leaked inside a full-URL parameter (§5.2.2).
+// The tally comes from the figure scan (scan.go).
 func (a *Analysis) ThirdPartyReceivers(n int) []stats.Entry {
-	uidValues := map[string]bool{}
-	for _, c := range a.cases {
-		for _, v := range c.Values {
-			uidValues[v] = true
-		}
-	}
-	counter := stats.NewCounter()
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		for _, s := range w.Steps {
-			for _, rec := range s.Records {
-				if rec.LandedURL == "" {
-					continue
-				}
-				destDomain := regOf(rec.LandedURL)
-				for _, r := range rec.Requests {
-					if r.Kind != browser.KindBeacon {
-						continue
-					}
-					// Sent from the destination page.
-					if r.Referer != rec.LandedURL {
-						continue
-					}
-					target := regOf(r.URL)
-					if target == "" || target == destDomain {
-						continue
-					}
-					if requestCarriesUID(r.URL, uidValues) {
-						counter.Inc(target)
-					}
-				}
-			}
-		}
-		return nil
-	})
-	return counter.Top(n)
+	return a.scan().thirdParty.Top(n)
 }
 
 func regOf(raw string) string {
@@ -331,54 +296,9 @@ type FailureRates struct {
 	ConnectError    float64 // paper: 3.3%
 }
 
-// FailureRates computes the §3.3 failure fractions.
-func (a *Analysis) FailureRates() FailureRates {
-	counts := a.src.OutcomeCounts()
-	total := a.src.StepCount()
-	if total == 0 {
-		return FailureRates{}
-	}
-	f := FailureRates{Steps: total}
-	f.NoCommonElement = float64(counts[crawler.OutcomeNoCommonElement]) / float64(total)
-	f.Divergent = float64(counts[crawler.OutcomeDivergent]) / float64(total)
-
-	// Distinct sites attempted vs. failed. A site either always fails or
-	// never does (per-domain faults), so the two sets cannot overlap.
-	attempted := map[string]bool{}
-	failed := map[string]bool{}
-	visit := func(raw string, fail bool) {
-		d := regOf(raw)
-		if d == "" {
-			return
-		}
-		attempted[d] = true
-		if fail {
-			failed[d] = true
-		}
-	}
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		if rec := w.SeedLoad[crawler.Safari1]; rec != nil {
-			visit(rec.StartURL, isConnectFail(rec.Fail))
-		}
-		for _, s := range w.Steps {
-			rec := s.Records[crawler.Safari1]
-			if rec == nil {
-				continue
-			}
-			if rec.LandedURL != "" {
-				visit(rec.LandedURL, false)
-			} else if isConnectFail(rec.Fail) && len(rec.NavChain) > 0 {
-				visit(rec.NavChain[len(rec.NavChain)-1].URL, true)
-			}
-		}
-		return nil
-	})
-	f.SitesAttempted = len(attempted)
-	if len(attempted) > 0 {
-		f.ConnectError = float64(len(failed)) / float64(len(attempted))
-	}
-	return f
-}
+// FailureRates computes the §3.3 failure fractions from the figure
+// scan.
+func (a *Analysis) FailureRates() FailureRates { return a.scan().failure }
 
 func isConnectFail(fail string) bool {
 	return len(fail) >= 8 && fail[:8] == "connect:"
@@ -412,56 +332,8 @@ func requestFailed(errStr string, status int) bool {
 }
 
 // Resilience computes the transient-recovered vs permanently-unreachable
-// split across every crawler's request log.
-func (a *Analysis) Resilience() ResilienceStats {
-	var rs ResilienceStats
-	failed := map[string]bool{}
-	ok := map[string]bool{}
-	scan := func(rec *crawler.CrawlerStep) {
-		if rec == nil {
-			return
-		}
-		for _, req := range rec.Requests {
-			d := regOf(req.URL)
-			if d == "" {
-				continue
-			}
-			if req.Attempt > 0 {
-				rs.RetriedRequests++
-			}
-			if requestFailed(req.Err, req.Status) {
-				failed[d] = true
-			} else if req.Status > 0 {
-				ok[d] = true
-			}
-		}
-	}
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		for _, rec := range w.SeedLoad {
-			scan(rec)
-		}
-		for _, s := range w.Steps {
-			for _, rec := range s.Records {
-				scan(rec)
-			}
-		}
-		return nil
-	})
-	attempted := len(ok)
-	for d := range failed {
-		if ok[d] {
-			rs.SitesRecovered++
-		} else {
-			rs.SitesUnreachable++
-			attempted++
-		}
-	}
-	if attempted > 0 {
-		rs.RecoveredRate = float64(rs.SitesRecovered) / float64(attempted)
-		rs.UnreachableRate = float64(rs.SitesUnreachable) / float64(attempted)
-	}
-	return rs
-}
+// split across every crawler's request log, from the figure scan.
+func (a *Analysis) Resilience() ResilienceStats { return a.scan().resilience }
 
 // --- §5.1 / §7.1: blocklist coverage -------------------------------------------------
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"strings"
 
 	"crumbcruncher/internal/crawler"
@@ -28,16 +29,19 @@ const (
 
 // StorageSourceBreakdown classifies each confirmed UID by originator-side
 // provenance, cross-referencing the crawl's pre-click storage snapshots.
+// The figure scan classifies each case when it reaches the case's walk;
+// the caller owns the returned map.
 func (a *Analysis) StorageSourceBreakdown() map[TokenSource]int {
-	out := map[TokenSource]int{}
-	for _, c := range a.cases {
-		out[a.sourceOfCase(c.Candidates[0])]++
-	}
-	return out
+	return maps.Clone(a.scan().sources)
 }
 
-func (a *Analysis) sourceOfCase(cand *tokens.Candidate) TokenSource {
-	rec := a.recordFor(cand)
+// sourceOfCase classifies one candidate against the crawler record
+// behind it in walk w.
+func sourceOfCase(w *crawler.Walk, cand *tokens.Candidate) TokenSource {
+	if cand.Step < 1 || cand.Step > len(w.Steps) {
+		return SourceQueryOnly
+	}
+	rec := w.Steps[cand.Step-1].Records[cand.Crawler]
 	if rec == nil {
 		return SourceQueryOnly
 	}
@@ -52,18 +56,6 @@ func (a *Analysis) sourceOfCase(cand *tokens.Candidate) TokenSource {
 		}
 	}
 	return SourceQueryOnly
-}
-
-// recordFor finds the crawler record behind a candidate.
-func (a *Analysis) recordFor(cand *tokens.Candidate) *crawler.CrawlerStep {
-	w := a.src.Walk(cand.Walk)
-	if w == nil {
-		return nil
-	}
-	if cand.Step < 1 || cand.Step > len(w.Steps) {
-		return nil
-	}
-	return w.Steps[cand.Step-1].Records[cand.Crawler]
 }
 
 func valueContains(stored, token string) bool {
@@ -84,22 +76,8 @@ type StepFailureRow struct {
 // expects these "to be independent of the step of the random walk"
 // (§3.3); the calibration harness and tests verify no strong trend.
 func (a *Analysis) FailuresByStep() []StepFailureRow {
-	maxStep := 0
-	counts := map[int]map[crawler.StepOutcome]int{}
-	a.src.ForEachWalk(func(w *crawler.Walk) error {
-		for _, s := range w.Steps {
-			if s.Index > maxStep {
-				maxStep = s.Index
-			}
-			m := counts[s.Index]
-			if m == nil {
-				m = map[crawler.StepOutcome]int{}
-				counts[s.Index] = m
-			}
-			m[s.Outcome]++
-		}
-		return nil
-	})
+	s := a.scan()
+	maxStep, counts := s.maxStep, s.byStep
 	out := make([]StepFailureRow, 0, maxStep)
 	for i := 1; i <= maxStep; i++ {
 		m := counts[i]

@@ -91,6 +91,9 @@ func Render(w io.Writer, r *core.Run) {
 	s := r.Analysis.Summarize()
 	fmt.Fprintf(w, "CrumbCruncher measurement report (seed %d, %d walks, %d steps)\n\n",
 		r.Config.World.Seed, r.Analysis.WalkCount(), r.Analysis.StepCount())
+	if err := r.Analysis.Err(); err != nil {
+		fmt.Fprintf(w, "ERROR: replaying the crawl's walks failed; the step count, failure rates, resilience split, Figure 6 and UID provenance below cover only the walks read before it: %v\n\n", err)
+	}
 
 	// Headline (§5).
 	fmt.Fprintf(w, "UID smuggling on %.2f%% of unique URL paths (paper: 8.11%%)\n", 100*r.Analysis.SmugglingRate())

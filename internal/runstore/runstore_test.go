@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -356,6 +357,141 @@ func TestSegmentDamageMatrix(t *testing.T) {
 				t.Fatalf("damaged segment not quarantined: %v", serr)
 			}
 			// Undamaged segments stay readable.
+			if w, err := st.Get(5); err != nil || w.Index != 5 {
+				t.Fatalf("healthy segment unreadable after quarantine: %v", err)
+			}
+		})
+	}
+}
+
+// TestSegmentRecordOrderDamage rewrites a sealed segment so that every
+// frame's checksum still verifies but the records no longer match the
+// segments.idx entry: two records swapped, or one record dropped. The
+// reader maps records to walks by the index entry, so both must surface
+// a DamageError and quarantine the segment — never return the wrong
+// walk for an index.
+func TestSegmentRecordOrderDamage(t *testing.T) {
+	build := func(t *testing.T) string {
+		dir := filepath.Join(t.TempDir(), "order.crumbs")
+		st, err := Create(dir, BackendSegment, testManifest(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.(*segmentStore).segWalks = 4
+		for i := 0; i < 8; i++ {
+			if err := st.Append(testWalk(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		return dir
+	}
+	// rewrite re-gzips segment 0 with its record lines (after the
+	// header line) passed through edit; every line keeps its own CRC.
+	rewrite := func(t *testing.T, dir string, edit func(recs [][]byte) [][]byte) {
+		path := segSealedPath(dir, 0)
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz, err := gzip.NewReader(f)
+		if err != nil {
+			f.Close()
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(gz)
+		gz.Close()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if len(lines[len(lines)-1]) == 0 {
+			lines = lines[:len(lines)-1]
+		}
+		if len(lines) != 5 {
+			t.Fatalf("segment 0 has %d lines, want header + 4 records", len(lines))
+		}
+		out := bytes.Join(append([][]byte{lines[0]}, edit(lines[1:])...), nil)
+		if _, err := runio.Records(out, segHeader(5)); err != nil {
+			t.Fatalf("rewritten segment fails frame verification: %v", err)
+		}
+		err = runio.WriteFileAtomic(path, func(w io.Writer) error {
+			gz := gzip.NewWriter(w)
+			if _, werr := gz.Write(out); werr != nil {
+				return werr
+			}
+			return gz.Close()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// firstBad is the first walk the cursor must fail on: a swap leaves
+	// the records before it where the index says, while a record count
+	// that disagrees with the index condemns the whole segment.
+	cases := []struct {
+		name     string
+		edit     func(recs [][]byte) [][]byte
+		firstBad int
+	}{
+		{"records-swapped", func(recs [][]byte) [][]byte {
+			recs[1], recs[2] = recs[2], recs[1]
+			return recs
+		}, 1},
+		{"record-dropped", func(recs [][]byte) [][]byte {
+			return append(recs[:2:2], recs[3:]...)
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := build(t)
+			rewrite(t, dir, tc.edit)
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+
+			// A full pass must stop at the damage, having returned only
+			// the walks it was asked for.
+			cur := st.Iter()
+			var cerr error
+			want := 0
+			for ; ; want++ {
+				w, err := cur.Next()
+				if err != nil {
+					cerr = err
+					break
+				}
+				if w.Index != want {
+					t.Fatalf("cursor returned walk %d at position %d", w.Index, want)
+				}
+			}
+			cur.Close()
+			if want != tc.firstBad {
+				t.Errorf("cursor failed at walk %d, want %d", want, tc.firstBad)
+			}
+			if errors.Is(cerr, io.EOF) {
+				t.Fatal("cursor read a damaged segment to the end")
+			}
+			var de *runio.DamageError
+			if !errors.As(cerr, &de) || !errors.Is(cerr, runio.ErrCorrupt) {
+				t.Fatalf("damage not reported as a corrupt DamageError: %v", cerr)
+			}
+			if _, serr := os.Stat(segSealedPath(dir, 0) + ".corrupt"); serr != nil {
+				t.Fatalf("damaged segment not quarantined: %v", serr)
+			}
+			// No lookup into the damaged segment may return another walk.
+			for i := 0; i < 4; i++ {
+				if w, err := st.Get(i); err == nil && w.Index != i {
+					t.Fatalf("Get(%d) returned walk %d", i, w.Index)
+				}
+			}
 			if w, err := st.Get(5); err != nil || w.Index != 5 {
 				t.Fatalf("healthy segment unreadable after quarantine: %v", err)
 			}

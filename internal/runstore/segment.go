@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,10 +72,10 @@ type segmentStore struct {
 
 	// active is the open, unsealed segment (nil until the first append
 	// after open or a seal).
-	active     *runio.LineFile
-	activeSeg  int
-	activeIdx  []int          // indices in append order
-	activeRaw  map[int][]byte // raw payloads of the active segment
+	active    *runio.LineFile
+	activeSeg int
+	activeIdx []int          // indices in append order
+	activeRaw map[int][]byte // raw payloads of the active segment
 	nextSeg   int
 	finalized bool
 	// cache holds the most recently decoded sealed segments. Two slots:
@@ -341,27 +342,19 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 		}
 		return walks, nil
 	}
-	path := segSealedPath(st.dir, n)
-	corrupt := func(err error) (map[int][]byte, error) {
-		q := path + ".corrupt"
-		if rerr := os.Rename(path, q); rerr != nil { //crumb:allow fsyncpolicy quarantine move of a damaged segment, mirroring runio's own quarantine; not an atomic-replace
-			q = ""
-		}
-		return nil, runio.NewCorruptError(runio.SegmentFormat, path, q)
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(segSealedPath(st.dir, n))
 	if err != nil {
 		return nil, fmt.Errorf("runstore: segment %d: %w", n, err)
 	}
 	defer f.Close()
 	gz, err := gzip.NewReader(f)
 	if err != nil {
-		return corrupt(err)
+		return nil, st.quarantineLocked(n)
 	}
 	defer gz.Close()
 	data, err := io.ReadAll(gz)
 	if err != nil {
-		return corrupt(err)
+		return nil, st.quarantineLocked(n)
 	}
 	entries, err := runio.Records(data, segHeader(st.manifest.Seed))
 	if err != nil {
@@ -369,19 +362,21 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 		// classification means the bytes were damaged afterwards.
 		var de *runio.DamageError
 		if errors.As(err, &de) {
-			return corrupt(err)
+			return nil, st.quarantineLocked(n)
 		}
 		return nil, err
 	}
+	// The index entry lists the segment's walk indices in record order,
+	// so no record is decoded here. A record count that disagrees with
+	// it is damage; a reordered segment is caught by Get, which checks
+	// each decoded walk's index against the one it asked for.
+	indices := st.sealed[n]
+	if len(entries) != len(indices) {
+		return nil, st.quarantineLocked(n)
+	}
 	walks := make(map[int][]byte, len(entries))
-	for _, raw := range entries {
-		var rec struct {
-			Index int `json:"index"`
-		}
-		if uerr := json.Unmarshal(raw, &rec); uerr != nil {
-			return corrupt(uerr)
-		}
-		walks[rec.Index] = raw
+	for i, raw := range entries {
+		walks[indices[i]] = raw
 	}
 	if st.cache == nil {
 		st.cache = map[int]map[int][]byte{}
@@ -394,6 +389,22 @@ func (st *segmentStore) loadSealedLocked(n int) (map[int][]byte, error) {
 	st.cache[n] = walks
 	st.cacheOrder = append(st.cacheOrder, n)
 	return walks, nil
+}
+
+// quarantineLocked moves damaged sealed segment n to "<seg>.corrupt",
+// drops it from the cache and returns the DamageError wrapping
+// ErrCorrupt that reports it. Callers hold mu.
+func (st *segmentStore) quarantineLocked(n int) error {
+	path := segSealedPath(st.dir, n)
+	q := path + ".corrupt"
+	if rerr := os.Rename(path, q); rerr != nil { //crumb:allow fsyncpolicy quarantine move of a damaged segment, mirroring runio's own quarantine; not an atomic-replace
+		q = ""
+	}
+	if _, ok := st.cache[n]; ok {
+		delete(st.cache, n)
+		st.cacheOrder = slices.DeleteFunc(st.cacheOrder, func(s int) bool { return s == n })
+	}
+	return runio.NewCorruptError(runio.SegmentFormat, path, q)
 }
 
 func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {
@@ -410,11 +421,13 @@ func (st *segmentStore) Get(idx int) (*crawler.Walk, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, ok := walks[idx]
-	if !ok {
-		return nil, fmt.Errorf("%w: index %d missing from segment %d", ErrNoWalk, idx, seg)
+	w, err := decodeWalk(walks[idx])
+	if err != nil || w.Index != idx {
+		// The record at idx's position holds another walk, or none:
+		// the segment was reordered or rewritten after it sealed.
+		return nil, st.quarantineLocked(seg)
 	}
-	return decodeWalk(raw)
+	return w, nil
 }
 
 func (st *segmentStore) sortedIndices() []int {
@@ -467,8 +480,8 @@ func (st *segmentStore) Close() error {
 }
 
 // segmentCursor iterates in walk-index order, reusing the store's
-// one-segment cache; consecutive walks usually share a segment, so a
-// full scan gunzips each segment once.
+// two-slot segment cache; consecutive walks usually share a segment,
+// so a full scan gunzips each segment once.
 type segmentCursor struct {
 	st    *segmentStore
 	order []int

@@ -355,9 +355,9 @@ func (s *Server) reanalyze(ctx context.Context, j *Job, jt *telemetry.Telemetry)
 	j.cacheHit = hit
 	j.mu.Unlock()
 	run, err := core.AnalyzeStore(ctx, cfg, world, st)
-	// Closing releases the store's file handles; the run's lazy walk
-	// replay (figures, referer scans) reads the store's in-memory or
-	// sealed bytes, which outlive the handles.
+	// Closing releases the store's file handles; the run's one figure
+	// scan (on its first metrics or report) and any referer scan read
+	// the store's in-memory or sealed bytes, which outlive the handles.
 	if cerr := st.Close(); cerr != nil && err == nil {
 		return nil, fmt.Errorf("serve: close run store: %w", cerr)
 	}

@@ -2,6 +2,7 @@ package crumbcruncher
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"crumbcruncher/internal/uid"
@@ -121,9 +122,16 @@ func ComputeMetrics(r *Run) Metrics {
 	}
 }
 
-// WriteMetricsJSON writes the run's metrics as indented JSON.
+// WriteMetricsJSON writes the run's metrics as indented JSON. If
+// replaying the run's walks for the figures failed (a store read error
+// after AnalyzeStore), it writes nothing and returns that error rather
+// than metrics over part of the crawl.
 func WriteMetricsJSON(w io.Writer, r *Run) error {
+	m := ComputeMetrics(r)
+	if err := r.Analysis.Err(); err != nil {
+		return fmt.Errorf("crumbcruncher: metrics: %w", err)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(ComputeMetrics(r))
+	return enc.Encode(m)
 }

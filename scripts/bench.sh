@@ -5,8 +5,10 @@
 #     re-analysis (BenchmarkAnalyzeParallel) and the streaming-vs-batch
 #     engine comparison (BenchmarkExecuteStreaming);
 #   - per layer: web site-domain lookup and page synthesis
-#     (BenchmarkDomainAt, BenchmarkBuildPage) and DOM parsing
-#     (BenchmarkParse).
+#     (BenchmarkDomainAt, BenchmarkBuildPage), DOM parsing
+#     (BenchmarkParse) and the runstore crumbreport path on each backend
+#     at 100 and 600 walks, with its passes/op and gets/op
+#     (BenchmarkReportFromStore).
 #
 # The archive describes itself: NumCPU, GOMAXPROCS, Go version, commit
 # (with a dirty flag) and the SmallConfig metrics digest, so a 1-CPU run
@@ -31,6 +33,8 @@ go test -run '^$' -bench '^(BenchmarkCrawl|BenchmarkAnalyzeParallel|BenchmarkExe
 	-benchtime "${BENCHTIME:-1x}" -benchmem . | tee "$raw"
 go test -run '^$' -bench '^(BenchmarkDomainAt|BenchmarkBuildPage|BenchmarkParse)$' \
 	-benchtime 1s -benchmem ./internal/web ./internal/dom | tee -a "$raw"
+go test -run '^$' -bench '^BenchmarkReportFromStore$' \
+	-benchtime 1s -benchmem . | tee -a "$raw"
 
 num_cpu="$(nproc)"
 # GOMAXPROCS as the benchmarks ran with it: go test suffixes each name
