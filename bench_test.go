@@ -490,12 +490,11 @@ func BenchmarkCrawlWalk(b *testing.B) {
 	w := web.BuildWorld(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := crawler.Crawl(crawler.Config{
-			Seed:             cfg.Seed,
-			Network:          w.Network(),
-			Seeders:          w.Seeders(),
-			Walks:            1,
-			DirectController: true,
+		_, err := crawler.Crawl(context.Background(), crawler.Config{
+			Seed:    cfg.Seed,
+			Network: w.Network(),
+			Seeders: w.Seeders(),
+			Walks:   1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -552,13 +551,12 @@ func syncFailureRate(b *testing.B, h crawler.Heuristics) float64 {
 	}
 	cfg := web.SmallConfig()
 	w := web.BuildWorld(cfg)
-	ds, err := crawler.Crawl(crawler.Config{
-		Seed:             cfg.Seed,
-		Network:          w.Network(),
-		Seeders:          w.Seeders(),
-		Walks:            60,
-		Heuristics:       h,
-		DirectController: true,
+	ds, err := crawler.Crawl(context.Background(), crawler.Config{
+		Seed:       cfg.Seed,
+		Network:    w.Network(),
+		Seeders:    w.Seeders(),
+		Walks:      60,
+		Heuristics: h,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -714,11 +712,10 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		cfg.NumSites = 120
 		world := web.BuildWorld(cfg)
 		ccfg := crawler.Config{
-			Seed:             cfg.Seed,
-			Network:          world.Network(),
-			Seeders:          world.Seeders(),
-			Walks:            80,
-			DirectController: true,
+			Seed:    cfg.Seed,
+			Network: world.Network(),
+			Seeders: world.Seeders(),
+			Walks:   80,
 		}
 		seqDS, err := crawler.SequentialCrawl(ccfg, 3)
 		if err != nil {
@@ -732,7 +729,7 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		world2 := web.BuildWorld(cfg)
 		ccfg.Network = world2.Network()
 		ccfg.Seeders = world2.Seeders()
-		syncDS, err := crawler.Crawl(ccfg)
+		syncDS, err := crawler.Crawl(context.Background(), ccfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -177,8 +177,8 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 	}
 
 	csp := tel.StartSpan("core", "crawl")
-	ds, crawlErr := crawler.CrawlContext(ctx, ccfg)
-	// CrawlContext only returns once every walk goroutine — and with it
+	ds, crawlErr := crawler.Crawl(ctx, ccfg)
+	// Crawl only returns once every walk goroutine — and with it
 	// every WalkSink call — has finished, so the channel can close now.
 	// The workers are drained even on crawl failure: a cancelled run
 	// must not leak analysis goroutines.

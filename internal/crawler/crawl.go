@@ -53,10 +53,6 @@ type Config struct {
 	NoIframes bool
 	// Heuristics selects the element-matching heuristics (ablations).
 	Heuristics Heuristics
-	// DirectController bypasses the HTTP transport and calls the
-	// controller in-process (used by ablation benchmarks; the default
-	// crawl uses a real loopback HTTP server, like the paper).
-	DirectController bool
 	// Machine is the fingerprint surface shared by all four crawlers
 	// (they run "on one machine", §3.5).
 	Machine string
@@ -174,16 +170,12 @@ func (cm *crawlMetrics) finishStep(sp *telemetry.Active, rec *CrawlerStep) {
 	sp.End()
 }
 
-// Crawl runs the full measurement crawl and returns the dataset.
-func Crawl(cfg Config) (*Dataset, error) {
-	return CrawlContext(context.Background(), cfg)
-}
-
-// CrawlContext runs the crawl under ctx. Cancellation is graceful: no
-// new walks launch, in-flight walks drain to completion (and are
-// checkpointed), unstarted walks are marked Skipped, and the partial
-// dataset is returned alongside ctx's error.
-func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
+// Crawl runs the full measurement crawl under ctx and returns the
+// dataset. Cancellation is graceful: no new walks launch, in-flight
+// walks drain to completion (and are checkpointed), unstarted walks are
+// marked Skipped, and the partial dataset is returned alongside ctx's
+// error.
+func Crawl(ctx context.Context, cfg Config) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Network == nil {
 		return nil, errors.New("crawler: Config.Network is required")
@@ -193,15 +185,6 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	}
 
 	ctrl := NewController(cfg.Seed, cfg.Heuristics, cfg.IframeBias)
-	var api API = ctrl
-	if !cfg.DirectController {
-		base, shutdown, err := ctrl.Serve()
-		if err != nil {
-			return nil, err
-		}
-		defer shutdown()
-		api = NewHTTPClient(base)
-	}
 
 	cm := newCrawlMetrics(cfg.Telemetry)
 	cfg.Telemetry.Registry().Gauge("crawler.walks_total").Set(int64(cfg.Walks))
@@ -286,7 +269,7 @@ func CrawlContext(ctx context.Context, cfg Config) (*Dataset, error) {
 				}
 				sp := cm.tel.StartSpan("crawler", "walk").
 					Attr("walk", strconv.Itoa(idx)).Attr("seeder", seeder)
-				w := runWalk(wcfg, api, idx, seeder, cm, rt)
+				w := runWalk(wcfg, ctrl, idx, seeder, cm, rt)
 				ds.Walks[idx] = w
 				if w.Ended != "" {
 					sp.Attr("ended", string(w.Ended))
@@ -536,7 +519,7 @@ func (ws *walkState) degrade(reason string) {
 
 // runWalk executes one walk: three synchronized crawler goroutines, with
 // Safari-1R trailing Safari-1 inside its goroutine.
-func runWalk(cfg Config, api API, idx int, seeder string, cm *crawlMetrics, rt *retrier) *Walk {
+func runWalk(cfg Config, ctrl *Controller, idx int, seeder string, cm *crawlMetrics, rt *retrier) *Walk {
 	w := &Walk{Index: idx, Seeder: seeder, SeedLoad: make(map[string]*CrawlerStep)}
 	ws := &walkState{walk: w}
 	rt = rt.forWalk(idx)
@@ -568,7 +551,7 @@ func runWalk(cfg Config, api API, idx int, seeder string, cm *crawlMetrics, rt *
 			}()
 			r := &walkRunner{
 				cfg:  cfg,
-				api:  api,
+				ctrl: ctrl,
 				ws:   ws,
 				walk: idx,
 				name: name,
@@ -662,7 +645,7 @@ func deriveOutcome(s *Step) StepOutcome {
 // walkRunner is one parallel crawler's walk execution.
 type walkRunner struct {
 	cfg     Config
-	api     API
+	ctrl    *Controller
 	ws      *walkState
 	walk    int
 	name    string
@@ -748,7 +731,7 @@ func (r *walkRunner) run(seeder string) {
 			rec.Fail = "connect: no live page"
 		}
 
-		dec, derr := r.api.SubmitElements(r.walk, step, r.name, els)
+		dec, derr := r.ctrl.SubmitElements(r.walk, step, r.name, els)
 		if derr != nil {
 			rec.Fail = "controller: " + derr.Error()
 			r.ws.putStep(step, r.name, rec)
@@ -814,7 +797,7 @@ func (r *walkRunner) run(seeder string) {
 			fqdn = next.URL.Hostname()
 		}
 
-		land, lerr := r.api.SubmitLanding(r.walk, step, r.name, fqdn)
+		land, lerr := r.ctrl.SubmitLanding(r.walk, step, r.name, fqdn)
 		if fqdn != "" {
 			sp.Attr("host", fqdn)
 		}

@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"net/url"
 	"testing"
 
@@ -12,7 +13,7 @@ func smallCrawl(t *testing.T) (*web.World, *Dataset) {
 	t.Helper()
 	cfg := web.SmallConfig()
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
+	ds, err := Crawl(context.Background(), Config{
 		Seed:    cfg.Seed,
 		Network: w.Network(),
 		Seeders: w.Seeders(),
@@ -128,7 +129,7 @@ func TestCrawlDeterministic(t *testing.T) {
 	cfg := web.SmallConfig()
 	run := func() []StepOutcome {
 		w := web.BuildWorld(cfg)
-		ds, err := Crawl(Config{
+		ds, err := Crawl(context.Background(), Config{
 			Seed:    cfg.Seed,
 			Network: w.Network(),
 			Seeders: w.Seeders(),
@@ -160,7 +161,7 @@ func TestCrawlParallelWalksMatchSequential(t *testing.T) {
 	cfg := web.SmallConfig()
 	run := func(parallelism int) map[StepOutcome]int {
 		w := web.BuildWorld(cfg)
-		ds, err := Crawl(Config{
+		ds, err := Crawl(context.Background(), Config{
 			Seed:        cfg.Seed,
 			Network:     w.Network(),
 			Seeders:     w.Seeders(),
@@ -184,7 +185,7 @@ func TestCrawlConnectFailures(t *testing.T) {
 	cfg := web.SmallConfig()
 	cfg.ConnectFailRate = 0.5
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
+	ds, err := Crawl(context.Background(), Config{
 		Seed:    cfg.Seed,
 		Network: w.Network(),
 		Seeders: w.Seeders(),
@@ -306,14 +307,13 @@ func TestWalksSpreadAcrossMachines(t *testing.T) {
 	cfg := web.SmallConfig()
 	cfg.ConnectFailRate = 0
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
-		Seed:             cfg.Seed,
-		Network:          w.Network(),
-		Seeders:          w.Seeders(),
-		Walks:            6,
-		StepsPerWalk:     1,
-		Machines:         3,
-		DirectController: true,
+	ds, err := Crawl(context.Background(), Config{
+		Seed:         cfg.Seed,
+		Network:      w.Network(),
+		Seeders:      w.Seeders(),
+		Walks:        6,
+		StepsPerWalk: 1,
+		Machines:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,13 +356,12 @@ func TestCrawlNoIframesReducesIframeClicks(t *testing.T) {
 		cfg.Seed = seed
 		cfg.ConnectFailRate = 0
 		w := web.BuildWorld(cfg)
-		ds, err := Crawl(Config{
-			Seed:             cfg.Seed,
-			Network:          w.Network(),
-			Seeders:          w.Seeders(),
-			Walks:            40,
-			NoIframes:        noIframes,
-			DirectController: true,
+		ds, err := Crawl(context.Background(), Config{
+			Seed:      cfg.Seed,
+			Network:   w.Network(),
+			Seeders:   w.Seeders(),
+			Walks:     40,
+			NoIframes: noIframes,
 		})
 		if err != nil {
 			t.Fatal(err)

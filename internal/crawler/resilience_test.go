@@ -100,13 +100,12 @@ func deadNetwork(seed int64) *netsim.Network {
 // step record — all three parallel crawlers AND Safari-1R — must exist
 // and carry a connect failure derived from that crawler's own state.
 func TestSeedFailureRecordsEveryCrawler(t *testing.T) {
-	ds, err := Crawl(Config{
-		Seed:             3,
-		Network:          deadNetwork(3),
-		Seeders:          []string{"dead.example.com"},
-		Walks:            1,
-		StepsPerWalk:     4,
-		DirectController: true,
+	ds, err := Crawl(context.Background(), Config{
+		Seed:         3,
+		Network:      deadNetwork(3),
+		Seeders:      []string{"dead.example.com"},
+		Walks:        1,
+		StepsPerWalk: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,15 +160,14 @@ func TestRetryRecoversTransientSeeder(t *testing.T) {
 		fmt.Fprint(w, "<html><body>hello</body></html>")
 	})
 	tel := telemetry.New(nil, 64)
-	ds, err := Crawl(Config{
-		Seed:             5,
-		Network:          n,
-		Seeders:          []string{"flaky.example.com"},
-		Walks:            1,
-		StepsPerWalk:     1,
-		DirectController: true,
-		Telemetry:        tel,
-		Retry:            resilience.DefaultPolicy(),
+	ds, err := Crawl(context.Background(), Config{
+		Seed:         5,
+		Network:      n,
+		Seeders:      []string{"flaky.example.com"},
+		Walks:        1,
+		StepsPerWalk: 1,
+		Telemetry:    tel,
+		Retry:        resilience.DefaultPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,13 +201,12 @@ func TestRetryRecoversTransientSeeder(t *testing.T) {
 	n2.HandleFunc("flaky.example.com", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "<html><body>hello</body></html>")
 	})
-	ds2, err := Crawl(Config{
-		Seed:             5,
-		Network:          n2,
-		Seeders:          []string{"flaky.example.com"},
-		Walks:            1,
-		StepsPerWalk:     1,
-		DirectController: true,
+	ds2, err := Crawl(context.Background(), Config{
+		Seed:         5,
+		Network:      n2,
+		Seeders:      []string{"flaky.example.com"},
+		Walks:        1,
+		StepsPerWalk: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +234,7 @@ func faultyCrawl(t *testing.T, parallelism int, sleep func(time.Duration)) *Data
 	cfg.TransientFailRate = 0.3
 	cfg.HTTPDegradeRate = 0.2
 	w := web.BuildWorld(cfg)
-	ds, err := Crawl(Config{
+	ds, err := Crawl(context.Background(), Config{
 		Seed:         cfg.Seed,
 		Network:      w.Network(),
 		Seeders:      w.Seeders(),
@@ -315,7 +312,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	// The uninterrupted reference run.
-	full, err := Crawl(crawlCfg(web.BuildWorld(cfg)))
+	full, err := Crawl(context.Background(), crawlCfg(web.BuildWorld(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +332,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := CrawlContext(ctx, icfg)
+	partial, err := Crawl(ctx, icfg)
 	if err == nil {
 		t.Fatal("cancelled crawl returned nil error")
 	}
@@ -364,7 +361,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	rcfg := crawlCfg(web.BuildWorld(cfg))
 	rcfg.Checkpoint = ckpt2
-	resumed, err := Crawl(rcfg)
+	resumed, err := Crawl(context.Background(), rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,17 +404,16 @@ func TestCircuitBreakerFailsFast(t *testing.T) {
 	// Bind the network's counters (breaker_open et al.) to the registry;
 	// core.ExecuteContext does this wiring, Crawl alone does not.
 	n.SetTelemetry(tel)
-	ds, err := Crawl(Config{
-		Seed:             7,
-		Network:          n,
-		Seeders:          []string{"dead.example.com"},
-		Walks:            6,
-		StepsPerWalk:     1,
-		Parallelism:      1,
-		DirectController: true,
-		Telemetry:        tel,
-		Retry:            resilience.Policy{MaxAttempts: 3, BaseDelay: time.Second},
-		Breaker:          resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+	ds, err := Crawl(context.Background(), Config{
+		Seed:         7,
+		Network:      n,
+		Seeders:      []string{"dead.example.com"},
+		Walks:        6,
+		StepsPerWalk: 1,
+		Parallelism:  1,
+		Telemetry:    tel,
+		Retry:        resilience.Policy{MaxAttempts: 3, BaseDelay: time.Second},
+		Breaker:      resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package crawler implements CrumbCruncher's measurement crawl: four
 // synchronized crawlers (Safari-1, Safari-2, Chrome-3 in parallel plus the
-// trailing repeat crawler Safari-1R), a central HTTP controller that picks
-// the element all crawlers click using the paper's three matching
+// trailing repeat crawler Safari-1R), an in-process central controller
+// that picks the element all crawlers click using the paper's three matching
 // heuristics (§3.3), ten-step random walks from seeder domains (§3.1), and
 // the dataset of cookies, localStorage and web requests the analysis
 // pipeline consumes.
