@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crumbcruncher [-seed N] [-sites N] [-walks N] [-steps N] [-parallel N]
-//	              [-machines N] [-small] [-lazy] [-save crawl.json]
+//	              [-machines N] [-small] [-save crawl.json]
 //	              [-out report.txt] [-trace trace.jsonl] [-progress]
 //	              [-pprof localhost:6060] [-retries N] [-breaker N]
 //	              [-deadline D] [-resume ckpt.jsonl] [-fsync POLICY]
@@ -51,7 +51,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "worker-pool size for the crawl and the post-crawl analysis (0: config default)")
 		machines  = flag.Int("machines", 0, "simulated crawl machines walks are spread across (0: config default)")
 		small     = flag.Bool("small", false, "use the small demo configuration")
-		lazy      = flag.Bool("lazy", false, "generate sites on first visit instead of upfront (identical results; million-domain worlds in laptop memory)")
 		savePath  = flag.String("save", "", "save the crawl to this path (.crumbs: sharded gzip segment store; otherwise one line file)")
 		outPath   = flag.String("out", "", "write the report here instead of stdout")
 		metrics   = flag.Bool("metrics", false, "emit machine-readable JSON metrics instead of the text report")
@@ -91,7 +90,6 @@ func main() {
 	if *machines > 0 {
 		cfg.Machines = *machines
 	}
-	cfg.World.Lazy = *lazy
 	var opts []crumbcruncher.Option
 	if *retries > 0 {
 		rp := crumbcruncher.DefaultRetryPolicy()

@@ -126,9 +126,8 @@ func printSite(w *web.World, domain string) {
 // serve exposes the virtual network over a real listener, routing by Host
 // header.
 func serve(w *web.World, addr string) {
-	hosts := w.Network().Hosts()
-	fmt.Fprintf(os.Stderr, "serving %d hosts on %s — e.g. curl -H 'Host: %s' http://localhost%s/\n",
-		len(hosts), addr, hosts[0], addr)
+	fmt.Fprintf(os.Stderr, "serving %d sites on %s — e.g. curl -H 'Host: %s' http://localhost%s/\n",
+		w.NumSeeders(), addr, w.SeedersN(1)[0], addr)
 	handler := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		// Dispatch through the virtual transport so fault injection and
 		// identity semantics apply exactly as in a crawl.

@@ -22,14 +22,6 @@ type Config struct {
 	// Seed drives every derivation in the world.
 	Seed int64
 
-	// Lazy defers site materialisation and handler registration until a
-	// host is first visited: sites derive on demand as a pure function of
-	// (seed, index) and register on the network through a resolver, so an
-	// unvisited world holds only its seed and campaign plan. Results are
-	// byte-identical to an eager world with the same Config — eager mode
-	// simply materialises every index up front.
-	Lazy bool
-
 	// NumSites is the number of content sites (publishers, retailers,
 	// portals). The seeder list is drawn from these.
 	NumSites int

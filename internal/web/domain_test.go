@@ -36,17 +36,15 @@ func TestDomainAtMatchesCoiningSmall(t *testing.T) {
 func TestDomainAtMatchesCoiningLazy10k(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.NumSites = 10000
-	cfg.Lazy = true
 	checkDomainsMatchCoining(t, BuildWorld(cfg))
 }
 
-// TestDomainAtMemoGrowsWithTouchedIndices pins the lazy-world memory
+// TestDomainAtMemoGrowsWithTouchedIndices pins the world's memory
 // contract: the memo holds only the domains the plan and the visited
 // sites actually needed, never one per site.
 func TestDomainAtMemoGrowsWithTouchedIndices(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.NumSites = 10000
-	cfg.Lazy = true
 	w := BuildWorld(cfg)
 	planned := memoLen(w.gen)
 	if planned >= cfg.NumSites/2 {
@@ -76,7 +74,6 @@ func TestDomainAtMemoGrowsWithTouchedIndices(t *testing.T) {
 func lookalikeSSO(t *testing.T) (*World, int, string, string) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Lazy = true
 	w := BuildWorld(cfg)
 	best := -1
 	for i, p := range w.gen.orgPlans {
@@ -118,12 +115,11 @@ func TestSSOInfoRejectsLookalike(t *testing.T) {
 	}
 }
 
-// TestDomainAtConcurrentForks hammers one lazy plan's memo from several
+// TestDomainAtConcurrentForks hammers one plan's memo from several
 // forks at once; run under -race it checks the memo's locking.
 func TestDomainAtConcurrentForks(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.NumSites = 2000
-	cfg.Lazy = true
 	w := BuildWorld(cfg)
 	want := make([]string, cfg.NumSites)
 	for i := range want {

@@ -18,9 +18,7 @@ import (
 // on demand as a pure function of (plan, index): deriveSite(i) draws
 // from an RNG seeded only by (seed, i), never from a stream shared with
 // other sites, so materialising site 731042 does not require touching
-// sites 0..731041. BuildWorld in eager mode simply derives every index
-// up front; lazy mode derives on first visit. Both modes produce
-// byte-identical sites by construction.
+// sites 0..731041. A world derives each site on its first visit.
 //
 // Site domains encode their own index ("brightvalley-00k3.com"): the
 // fixed-width base-36 code after the final hyphen is the site index,
@@ -34,7 +32,7 @@ import (
 // a page build, and page generation asks for partner and link domains
 // constantly. So coined domains are memoised per index in a memo on the
 // plan (domainAt): a world and all its forks share it, it fills on
-// demand, and a lazy world holds only the names it has touched.
+// demand, and a world holds only the names it has touched.
 // ssoInfo checks the plan's SSO assignment before it validates a
 // domain, so the common non-SSO partner never reaches domainAt at all.
 

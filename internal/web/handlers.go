@@ -13,9 +13,8 @@ import (
 )
 
 // registerSiteHandlers wires one site's hosts onto the network: the
-// content domain, its shortener and its org's SSO host. Eager worlds
-// call it for every site at build time; lazy worlds call it from the
-// network resolver on a site's first visit. Registering the same host
+// content domain, its shortener and its org's SSO host. The network
+// resolver calls it on a site's first visit. Registering the same host
 // twice (SSO hosts shared by sync-org members, resolver races) is
 // harmless — the handlers behave identically.
 func (w *World) registerSiteHandlers(s *Site) {

@@ -16,7 +16,7 @@ import (
 
 // EntityListDomains returns the partial domain → organisation map
 // standing in for the Disconnect entity list. Membership derives per
-// domain, so the returned map is coverage-sized even for a lazy
+// domain, so the returned map is coverage-sized even for a
 // million-site world.
 func (w *World) EntityListDomains() map[string]string {
 	out := map[string]string{}

@@ -318,7 +318,7 @@ func (w *World) addVolatileContent(s *Site, content *dom.Node, drng *stats.RNG) 
 }
 
 // ssoPartner picks a partner site with an SSO host, if any. Candidates
-// resolve from the generation plan alone, so a lazy world never
+// resolve from the generation plan alone, so a world never
 // materialises a partner just to learn it has no sign-in host.
 func (w *World) ssoPartner(s *Site, rng *stats.RNG) (ssoRef, bool) {
 	var candidates []ssoRef

@@ -164,10 +164,9 @@ type Site struct {
 }
 
 // World is a built synthetic web: an immutable generation plan plus the
-// per-run mutable substrate (network, visit counters). In eager mode
-// (the default) every site is materialised and registered up front; with
-// Config.Lazy sites derive and register on first visit through the
-// network's resolver, so an unvisited world holds only its plan.
+// per-run mutable substrate (network, visit counters). Sites derive and
+// register on first visit through the network's resolver, so an
+// unvisited world holds only its plan.
 type World struct {
 	cfg   Config
 	net   *netsim.Network
@@ -202,9 +201,8 @@ func (w *World) Network() *netsim.Network { return w.net }
 // Truth returns the ground-truth registry.
 func (w *World) Truth() *Truth { return w.truth }
 
-// Sites returns all content sites in rank order. In lazy mode this
-// materialises the whole world — evaluation-only; the crawl path never
-// calls it.
+// Sites returns all content sites in rank order. This materialises the
+// whole world — evaluation-only; the crawl path never calls it.
 func (w *World) Sites() []*Site {
 	out := make([]*Site, w.cfg.NumSites)
 	for i := range out {
@@ -302,10 +300,9 @@ func (w *World) visit(key string) int {
 	return w.visits[key]
 }
 
-// BuildWorld constructs the synthetic web on a fresh network. It is now a
-// thin wrapper over the demand-driven plan: eager mode materialises and
-// registers every site immediately, lazy mode (Config.Lazy) installs a
-// resolver and leaves sites to derive on first visit.
+// BuildWorld constructs the synthetic web on a fresh network: the
+// demand-driven plan plus a resolver that derives each site on first
+// visit.
 func BuildWorld(cfg Config) *World {
 	if cfg.NumSites <= 0 {
 		cfg = DefaultConfig()
@@ -336,13 +333,7 @@ func newWorldFrom(cfg Config, gen *worldGen, cache *siteCache) *World {
 		visits:          make(map[string]int),
 	}
 	w.registerTrackerHandlers()
-	if cfg.Lazy {
-		w.net.SetResolver(w.resolveHost)
-	} else {
-		for i := 0; i < cfg.NumSites; i++ {
-			w.registerSiteHandlers(cache.site(gen, i))
-		}
-	}
+	w.net.SetResolver(w.resolveHost)
 	w.installFaults()
 	return w
 }
@@ -352,8 +343,8 @@ func newWorldFrom(cfg Config, gen *worldGen, cache *siteCache) *World {
 // is shared with the receiver, all of it immutable (or internally
 // locked). The per-run mutable substrate is rebuilt fresh: a new virtual
 // network with its own clock and fault injector, and zeroed visit
-// counters. Lazily materialised sites accumulate in the shared cache, so
-// concurrent forks of a lazy world pay each site's derivation once.
+// counters. Materialised sites accumulate in the shared cache, so
+// concurrent forks pay each site's derivation once.
 //
 // A template world that is never crawled directly can therefore serve
 // any number of concurrent runs, each fork producing results
@@ -364,10 +355,10 @@ func (w *World) Fork() *World {
 	return newWorldFrom(w.cfg, w.gen, w.cache)
 }
 
-// resolveHost is the lazy network resolver: on the first request to an
+// resolveHost is the network resolver: on the first request to an
 // unknown host, materialise the owning site and register its handlers.
-// Only real site domains decode, so garbage hosts still fail with
-// ErrUnknownHost exactly as in eager mode.
+// Only real site domains decode, so garbage hosts fail with
+// ErrUnknownHost.
 func (w *World) resolveHost(host string) {
 	if s := w.Site(host); s != nil {
 		w.registerSiteHandlers(s)
