@@ -5,14 +5,12 @@
 // durable-write layer, plus the interprocedural resource-discipline
 // checks.
 //
-// Run it standalone:
+// Run it over the module, test files included:
 //
 //	go run ./cmd/crumblint ./...
 //
-// or as a vet tool, which also covers test compilation units:
-//
-//	go build -o bin/crumblint ./cmd/crumblint
-//	go vet -vettool=bin/crumblint ./...
+// `make lint` runs the same driver with its result cache and the
+// checked-in baseline.
 //
 // A finding can be waived, visibly, with a //crumb:allow directive; see
 // internal/lint/directive and DESIGN.md §9.
