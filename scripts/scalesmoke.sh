@@ -1,15 +1,11 @@
 #!/bin/sh
-# CI smoke check for the lazy-world + RunStore scale path:
+# CI smoke check for the world + RunStore scale path:
 #
-#   1. eager-vs-lazy identity: the same seed at 1k domains must produce
-#      byte-identical metrics whether the world is generated upfront or
-#      derived site-by-site on first visit.
-#   2. scale crawl: a 100k-domain lazy world crawled for 1k walks,
-#      saved to the segment store. Peak RSS is compared against a
-#      budget — warn-only, because CI runners vary — and the crawl
-#      must finish at all, which an eager 100k world would not do in
-#      the same memory class.
-#   3. store identity: crumbreport re-analysing the saved segment
+#   1. scale crawl: a 100k-domain world (sites derived on first visit)
+#      crawled for 1k walks, saved to the segment store. Peak RSS is
+#      compared against a budget — warn-only, because CI runners
+#      vary — and the crawl must finish at all.
+#   2. store identity: crumbreport re-analysing the saved segment
 #      store must reproduce the crawl's metrics byte for byte.
 #
 # Usage: scripts/scalesmoke.sh
@@ -26,25 +22,13 @@ trap 'rm -rf "$work"' EXIT
 go build -o "$work/crumbcruncher" ./cmd/crumbcruncher
 go build -o "$work/crumbreport" ./cmd/crumbreport
 
-echo "--- scale: eager vs lazy metrics at 1k domains"
-"$work/crumbcruncher" -seed "$SEED" -sites 1000 -walks 200 \
-	-metrics -out "$work/eager.json" 2>/dev/null
-"$work/crumbcruncher" -seed "$SEED" -sites 1000 -walks 200 -lazy \
-	-metrics -out "$work/lazy.json" 2>/dev/null
-if ! cmp -s "$work/eager.json" "$work/lazy.json"; then
-	echo "FAIL: lazy world diverged from eager at 1k domains" >&2
-	diff "$work/eager.json" "$work/lazy.json" >&2 || true
-	exit 1
-fi
-echo "OK: eager and lazy metrics are byte-identical"
-
-echo "--- scale: 100k-domain lazy world, 1k-walk crawl into the segment store"
+echo "--- scale: 100k-domain world, 1k-walk crawl into the segment store"
 store="$work/scale.crumbs"
 # GNU time reports peak RSS; without it the crawl still runs, only the
 # budget check is skipped.
 if /usr/bin/time -v true 2>/dev/null; then
 	/usr/bin/time -v -o "$work/time.txt" \
-		"$work/crumbcruncher" -seed "$SEED" -sites 100000 -walks 1000 -lazy \
+		"$work/crumbcruncher" -seed "$SEED" -sites 100000 -walks 1000 \
 		-save "$store" -metrics -out "$work/scale.json" 2>/dev/null
 	rss_kb="$(awk -F: '/Maximum resident set size/ { gsub(/ /, "", $2); print $2 }' "$work/time.txt")"
 	if [ -n "$rss_kb" ] && [ "$rss_kb" -gt "$RSS_BUDGET_KB" ]; then
@@ -54,7 +38,7 @@ if /usr/bin/time -v true 2>/dev/null; then
 	fi
 else
 	echo "WARN: GNU time unavailable; skipping the RSS budget check"
-	"$work/crumbcruncher" -seed "$SEED" -sites 100000 -walks 1000 -lazy \
+	"$work/crumbcruncher" -seed "$SEED" -sites 100000 -walks 1000 \
 		-save "$store" -metrics -out "$work/scale.json" 2>/dev/null
 fi
 if [ ! -d "$store" ]; then
