@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate every change must
 # pass: it builds everything, vets, runs crumblint (the project's own
 # determinism/telemetry/resource-discipline analyzers, via the same
-# cached driver CI uses),
+# cached driver CI uses; any finding fails),
 # runs the full test suite with the race detector on — which exercises
 # the parallel analysis pipeline's determinism tests (Parallelism
 # 1/4/16) under -race — and finishes with the chaos smoke (kill,
@@ -23,14 +23,13 @@ vet:
 # plus the interprocedural resource-discipline suite
 # (mustclose, poolreset, ctxflow, sharedwrite). The driver runs
 # analyzers in parallel per package with content-hash result
-# caching under bin/.lintcache and suppresses findings recorded in the
-# checked-in baseline; anything new fails the build.
+# caching under bin/.lintcache; any finding fails the build (waivers
+# are //crumb:allow directives at the site, never a suppression file).
 lint: bin/crumblint
-	./bin/crumblint -cache bin/.lintcache -baseline .crumblint-baseline.json ./...
+	./bin/crumblint -cache bin/.lintcache ./...
 
 # SARIF export for code-scanning upload (CI attaches this as an
-# artifact). The baseline is not applied: the report carries every
-# finding, baselined or not.
+# artifact): the report carries every finding.
 lint-sarif: bin/crumblint
 	./bin/crumblint -cache bin/.lintcache -sarif ./... > crumblint.sarif || true
 
@@ -57,7 +56,7 @@ scale:
 	scripts/scalesmoke.sh
 
 # The tracked benchmark set (full crawl, parallel re-analysis,
-# streaming-vs-batch engine, plus the web and dom per-layer rows),
+# streaming-vs-batch schedules, plus the web and dom per-layer rows),
 # archived with its machine, commit and metrics digest to the file
 # named by OUT: make bench OUT=BENCH_<name>.json
 bench:

@@ -721,9 +721,8 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		seqIdx := uid.BuildLifetimeIndex(seqDS)
-		seqCases, seqStats = uid.SequentialIdentify(
-			datasetCandidates(b, seqDS), seqIdx.Lifetime, 90*24*time.Hour)
+		seqCands, seqIdx := datasetCandidates(seqDS)
+		seqCases, seqStats = uid.SequentialIdentify(seqCands, seqIdx.Lifetime, 90*24*time.Hour)
 
 		// The synchronized system on a fresh identical world.
 		world2 := web.BuildWorld(cfg)
@@ -733,7 +732,8 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cases, _, err := uid.Identify(context.Background(), datasetCandidates(b, syncDS), uid.Options{})
+		syncCands, _ := datasetCandidates(syncDS)
+		cases, _, err := uid.Identify(context.Background(), syncCands, uid.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -745,19 +745,17 @@ func BenchmarkAblationSequentialBaseline(b *testing.B) {
 }
 
 // datasetCandidates runs path reconstruction and candidate extraction
-// sequentially over ds.
-func datasetCandidates(b *testing.B, ds *crawler.Dataset) []*tokens.Candidate {
-	b.Helper()
-	ctx := context.Background()
-	paths, err := tokens.PathsFromDataset(ctx, ds, 1, nil)
-	if err != nil {
-		b.Fatal(err)
+// over ds's walks for its own crawler roster, and builds its cookie
+// lifetime index.
+func datasetCandidates(ds *crawler.Dataset) ([]*tokens.Candidate, *uid.LifetimeIndex) {
+	acc := tokens.NewAccumulator(ds.Seed, len(ds.Walks), ds.Crawlers, nil)
+	life := uid.NewLifetimeAccumulator(len(ds.Walks))
+	for _, w := range ds.Walks {
+		acc.AddWalk(w)
+		life.AddWalk(w)
 	}
-	cands, err := tokens.AllCandidates(ctx, paths, 1, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cands
+	_, cands := acc.Drain()
+	return cands, life.Drain()
 }
 
 // --- §6: referer-based smuggling (the pipeline's designed blind spot) -----------
@@ -779,21 +777,20 @@ func BenchmarkLimitationRefererSmuggling(b *testing.B) {
 
 // --- Streaming execution engine ----------------------------------------------
 
-// BenchmarkExecuteStreaming compares the streaming engine (walks flow
-// into analysis as they finish) against the batch path (crawl fully,
-// then analyze) on the same seed at worker-pool sizes 1 and 4. Both
-// produce byte-identical metrics (see TestStreamingMatchesBatch); the
-// streaming variant should come in at or below batch wall-clock at
-// parallelism ≥ 4 by absorbing the serial post-crawl analysis tail
-// into the crawl, with peak live residency at or below batch's (both
-// engines end holding the same fully-materialized Run).
+// BenchmarkExecuteStreaming compares the two schedules of the one
+// analysis engine on the same seed at worker-pool sizes 1 and 4:
+// streaming (walks flow into analysis as they finish) against batch
+// (crawl fully, then feed the dataset to the engine). Both produce
+// byte-identical metrics (see TestGoldenMetricsDigests); the streaming
+// variant should come in at or below batch wall-clock at parallelism
+// ≥ 4 by absorbing the post-crawl analysis tail into the crawl, with
+// peak live residency at or below batch's (both schedules end holding
+// the same fully-materialized Run).
 //
-// Each engine runs as its own sub-benchmark (stream/batch), so ns/op,
-// B/op and allocs/op are attributable to one engine — the previous
-// shape ran both engines inside every iteration, and the headline
-// ns/op double-counted while the memory columns summed two engines.
-// Peak live residency is still reported per engine as a metric;
-// scripts/bench.sh archives the series in BENCH_*.json.
+// Each schedule runs as its own sub-benchmark (stream/batch), so ns/op,
+// B/op and allocs/op are attributable to one schedule. Peak live
+// residency is reported per schedule as a metric; scripts/bench.sh
+// archives the series in BENCH_*.json.
 func BenchmarkExecuteStreaming(b *testing.B) {
 	base := crumbcruncher.SmallConfig()
 	base.Walks = 120
@@ -875,10 +872,12 @@ func (w *heapWatermark) stop() float64 {
 
 // BenchmarkAnalyzeParallel re-runs the entire post-crawl pipeline (path
 // reconstruction, candidate extraction, UID identification, aggregation)
-// over the paper-scale fixture crawl at worker-pool sizes 1 and NumCPU.
+// over the paper-scale fixture crawl at worker-pool sizes 1 and NumCPU:
+// Runner.Reanalyze replays the in-memory dataset into the pooled
+// AnalyzeSource, whose workers fold walks while the replay continues.
 // Results are bit-identical at every size (see
 // TestParallelAnalysisDeterminism); the parallel variant should show the
-// near-linear speedup the sharded pipeline is built for.
+// speedup the worker pool and the sharded aggregation are built for.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	r := fixture(b)
 	pars := []int{1, runtime.NumCPU()}

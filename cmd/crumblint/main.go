@@ -9,8 +9,8 @@
 //
 //	go run ./cmd/crumblint ./...
 //
-// `make lint` runs the same driver with its result cache and the
-// checked-in baseline.
+// `make lint` runs the same driver with its result cache; any finding
+// fails it.
 //
 // A finding can be waived, visibly, with a //crumb:allow directive; see
 // internal/lint/directive and DESIGN.md §9.

@@ -134,9 +134,9 @@ func (r *Runner) Config() Config { return r.cfg }
 // are recorded as skipped — and ctx's error is returned. Pair with
 // WithCheckpoint to resume later.
 //
-// By default the analysis streams alongside the crawl; set
-// Config.BatchAnalysis to run the two phases sequentially instead.
-// Both modes produce bit-identical results.
+// By default the analysis streams alongside the crawl; with
+// Config.BatchAnalysis the finished crawl is fed to the same analysis
+// engine afterwards. Both schedules produce bit-identical results.
 func (r *Runner) Run(ctx context.Context) (*Run, error) {
 	return core.ExecuteContext(ctx, r.cfg)
 }
@@ -146,15 +146,18 @@ func (r *Runner) Run(ctx context.Context) (*Run, error) {
 // aggregation) over an existing run's recorded walks under the Runner's
 // configuration — e.g. a different Parallelism or identification
 // options. The crawl is not repeated; results are bit-identical for any
-// Parallelism. A run with a decoded Dataset is re-analysed in memory; a
-// store-backed run (AnalyzeStore) replays its walks from the store.
-// Cancellation stops every stage from taking new work and returns
-// ctx's error.
+// Parallelism. The walks are replayed from the run's analysis source
+// into the same engine a live run uses: in memory for a run with a
+// decoded Dataset (which the result keeps), from the store for a
+// store-backed run (AnalyzeStore). Cancellation stops every stage from
+// taking new work and returns ctx's error.
 func (r *Runner) Reanalyze(ctx context.Context, run *Run) (*Run, error) {
-	if run.Dataset == nil {
-		return core.AnalyzeSource(ctx, r.cfg, run.World, run.Analysis.Source())
+	out, err := core.AnalyzeSource(ctx, r.cfg, run.World, run.Analysis.Source())
+	if err != nil {
+		return nil, err
 	}
-	return core.AnalyzeContext(ctx, r.cfg, run.World, run.Dataset)
+	out.Dataset = run.Dataset
+	return out, nil
 }
 
 // --- Resilience -------------------------------------------------------------

@@ -37,8 +37,11 @@ func metricsDigest(t *testing.T, run *crumbcruncher.Run) string {
 }
 
 // TestGoldenMetricsDigests checks every seed's metrics digest for a
-// live run at Parallelism 1, 4 and 16, and for the same run saved to
-// the line and the segment backend and re-analysed from the store.
+// live streaming run at Parallelism 1, 4 and 16, a crawl-then-analyse
+// (BatchAnalysis) run at Parallelism 1 and 16, an in-memory re-analysis
+// of the Parallelism-1 run's dataset at Parallelism 4, and the same run
+// saved to the line and the segment backend and re-analysed from the
+// store.
 func TestGoldenMetricsDigests(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range goldenMetrics {
@@ -64,6 +67,26 @@ func TestGoldenMetricsDigests(t *testing.T) {
 				base = run
 			}
 		}
+		for _, par := range []int{1, 16} {
+			bcfg := cfg
+			bcfg.Parallelism = par
+			bcfg.BatchAnalysis = true
+			run, err := crumbcruncher.NewRunner(bcfg).Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("batch analysis, parallelism "+strconv.Itoa(par), metricsDigest(t, run))
+		}
+		rcfg := cfg
+		rcfg.Parallelism = 4
+		rerun, err := crumbcruncher.NewRunner(rcfg).Reanalyze(ctx, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rerun.Dataset != base.Dataset {
+			t.Errorf("seed %d: in-memory re-analysis dropped the run's dataset", seed)
+		}
+		check("in-memory reanalysis, parallelism 4", metricsDigest(t, rerun))
 
 		dir := t.TempDir()
 		for _, name := range []string{"crawl.json", "crawl.crumbs"} {

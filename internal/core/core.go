@@ -74,12 +74,13 @@ type Config struct {
 	// RequestDeadline, when > 0, makes the virtual network time out any
 	// request whose latency (including injected spikes) would exceed it.
 	RequestDeadline time.Duration `json:"request_deadline,omitempty"`
-	// BatchAnalysis restores the pre-streaming two-phase execution:
-	// crawl the complete dataset first, then run the post-crawl stages
-	// over it. The default (false) streams each walk through token
-	// extraction and UID grouping as it finishes; both modes produce
-	// bit-identical results (see TestStreamingMatchesBatch), so this is
-	// a scheduling knob, not a semantic one.
+	// BatchAnalysis runs the crawl and the analysis as two phases:
+	// crawl the complete dataset first, then feed it to the one
+	// analysis engine (AnalyzeSource). The default (false) feeds each
+	// walk to that engine as it finishes. It is only a scheduling
+	// switch — the golden digests pin both schedules to the same
+	// output — and is kept because the benchmark's paper-crawl
+	// reference run sets it; it goes once that reference moves.
 	BatchAnalysis bool `json:"batch_analysis,omitempty"`
 	// Checkpoint, when non-nil, records completed walks incrementally
 	// and resumes an interrupted crawl without redoing finished walks.
@@ -109,9 +110,9 @@ type Config struct {
 // fragment the world cache or make two reruns of the same study look
 // like different studies.
 //
-// BatchAnalysis, though also a bit-identical mode, stays in the
-// digest: it selects a genuinely different execution shape and keeping
-// it visible makes provenance blocks more useful.
+// BatchAnalysis, though also a bit-identical schedule, stays in the
+// digest, so existing world-cache keys and provenance blocks keep
+// their values.
 func (cfg Config) Hash() string {
 	cfg.Parallelism = 0
 	cfg.Telemetry = nil
@@ -164,9 +165,9 @@ type Run struct {
 //
 // By default execution streams: completed walks flow straight into
 // token extraction and UID grouping while the crawl is still running,
-// and only the final merge waits for the last walk. Set
-// Config.BatchAnalysis to run the crawl and the analysis as two
-// sequential phases instead; results are bit-identical either way.
+// and only the final merge waits for the last walk. Config.BatchAnalysis
+// crawls first and then feeds the finished dataset to the same engine;
+// results are bit-identical either way.
 func ExecuteContext(ctx context.Context, cfg Config) (*Run, error) {
 	sp := cfg.Telemetry.StartSpan("core", "build_world")
 	world := web.BuildWorld(cfg.World)
@@ -195,7 +196,7 @@ func ExecuteInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 }
 
 // executeInWorld wires telemetry and deadlines into the world's network
-// and runs the streaming or batch pipeline over it.
+// and runs the pipeline over it, streaming or crawl-then-analyse.
 func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
 	// Binds the run's registry (and the virtual clock) to the network;
 	// a nil Telemetry leaves the network on its private registry.
@@ -220,10 +221,11 @@ func executeInWorld(ctx context.Context, cfg Config, world *web.World) (*Run, er
 		return nil, fmt.Errorf("core: crawl: %w", err)
 	}
 	csp.End()
-	r, err := AnalyzeContext(ctx, cfg, world, ds)
+	r, err := AnalyzeSource(ctx, cfg, world, ds)
 	if err != nil {
 		return nil, err
 	}
+	r.Dataset = ds
 	notify.update(func(p *Progress) { p.WalksAnalyzed = len(ds.Walks) })
 	return r, nil
 }
@@ -261,76 +263,6 @@ func (cfg Config) crawlConfig(world *web.World) crawler.Config {
 	}
 }
 
-// AnalyzeContext is the batch post-crawl pipeline over an in-memory
-// dataset: path reconstruction, candidate extraction, UID
-// identification and aggregation, each sharded over cfg.Parallelism
-// workers with deterministic merging, so the output is bit-identical to
-// a sequential pass — and to the streaming engine (see
-// Config.BatchAnalysis). Cancellation stops every stage's shard pool
-// from taking new work and returns ctx's error.
-func AnalyzeContext(ctx context.Context, cfg Config, world *web.World, ds *crawler.Dataset) (*Run, error) {
-	tel := cfg.Telemetry
-	par := cfg.analysisParallelism()
-
-	sp := tel.StartSpan("analysis", "paths")
-	paths, err := tokens.PathsFromDataset(ctx, ds, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: paths: %w", err)
-	}
-	sp.End()
-
-	sp = tel.StartSpan("analysis", "candidates")
-	cands, err := tokens.AllCandidates(ctx, paths, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: candidates: %w", err)
-	}
-	sp.End()
-
-	sp = tel.StartSpan("analysis", "lifetimes")
-	lifetimes := uid.BuildLifetimeIndex(ds)
-	sp.End()
-
-	opt := cfg.Identify
-	if opt.LifetimeOf == nil {
-		opt.LifetimeOf = lifetimes.Lifetime
-	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = par
-	}
-	if opt.Telemetry == nil {
-		opt.Telemetry = tel
-	}
-	sp = tel.StartSpan("analysis", "identify")
-	cases, stats, err := uid.Identify(ctx, cands, opt)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: identify: %w", err)
-	}
-	sp.End()
-
-	sp = tel.StartSpan("analysis", "aggregate")
-	agg, err := analysis.NewFromSource(ctx, ds, paths, cases, par, tel)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, fmt.Errorf("core: aggregate: %w", err)
-	}
-	sp.End()
-
-	return &Run{
-		Config:     cfg,
-		World:      world,
-		Dataset:    ds,
-		Paths:      paths,
-		Candidates: cands,
-		Cases:      cases,
-		Stats:      stats,
-		Analysis:   agg,
-		Lifetimes:  lifetimes,
-	}, nil
-}
-
 // Reidentify re-runs UID identification with different options over the
 // run's candidates (ablation benchmarks) and returns a fresh analysis.
 func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Analysis) {
@@ -342,11 +274,7 @@ func (r *Run) Reidentify(opt uid.Options) ([]*uid.Case, uid.Stats, *analysis.Ana
 		opt.Parallelism = par
 	}
 	cases, stats, _ := uid.Identify(context.Background(), r.Candidates, opt)
-	var src analysis.WalkSource = r.Dataset
-	if r.Dataset == nil {
-		src = r.Analysis.Source() // store-backed run: replay from the store
-	}
-	agg, _ := analysis.NewFromSource(context.Background(), src, r.Paths, cases, par, nil)
+	agg, _ := analysis.NewFromSource(context.Background(), r.Analysis.Source(), r.Paths, cases, par, nil)
 	return cases, stats, agg
 }
 

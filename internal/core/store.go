@@ -48,24 +48,26 @@ func AnalyzeStore(ctx context.Context, cfg Config, world *web.World, st runstore
 }
 
 // AnalyzeSource runs the post-crawl pipeline over any walk source — a
-// run store, a Dataset, or the source of a previously analysed
-// store-backed run: each walk streams through token extraction,
-// lifetime scanning and UID grouping exactly as the live streaming
-// engine feeds them. That is the first of exactly two passes over src:
-// the second is the analysis's figure scan, run once on first use and
-// shared by every walk-derived figure (a failed replay surfaces through
-// Analysis.Err). Results are byte-identical to AnalyzeContext over the
-// decoded dataset, because both paths fold the same walks in the same
-// index order. The returned Run has a nil Dataset.
+// run store, a Dataset, or the source of a previously analysed run:
+// ForEachWalk feeds each walk to the same worker pool the live crawl's
+// WalkSink feeds (walkFeed.pump), so it goes through token extraction,
+// lifetime scanning and UID grouping exactly as in a live run. That is
+// the first of exactly two passes over src: the second is the
+// analysis's figure scan, run once on first use and shared by every
+// walk-derived figure (a failed replay surfaces through Analysis.Err).
+// A walk whose index falls outside [0, src.WalkCount()) — a gapped or
+// damaged store — fails the analysis with an error naming the index.
+// The returned Run has a nil Dataset.
 func AnalyzeSource(ctx context.Context, cfg Config, world *web.World, src analysis.WalkSource) (*Run, error) {
 	feed := newWalkFeed(cfg, src.WalkCount())
 	sp := cfg.Telemetry.StartSpan("core", "analyze_store")
-	err := src.ForEachWalk(func(w *crawler.Walk) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		feed.add(w)
-		return nil
+	err := feed.pump(func(sink func(*crawler.Walk) error) error {
+		return src.ForEachWalk(func(w *crawler.Walk) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return sink(w)
+		})
 	})
 	if err != nil {
 		sp.EndErr(err)

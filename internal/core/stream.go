@@ -65,125 +65,41 @@ func analysisHeader(seed int64) runio.Header {
 }
 
 // executeStreaming runs the crawl and the per-walk analysis stages
-// concurrently: every finished walk is handed through a bounded channel
-// to a pool of analysis workers that extract its paths, find its
-// candidates, scan its cookie lifetimes and group its tokens, while the
-// crawl keeps producing. Only the cross-walk stages (lifetime-index
-// merge, deferred classification, ordered reduce, aggregation) wait for
-// the last walk.
-//
-// Determinism: every per-walk product lands in a pre-sized,
-// walk-indexed slot and every drain merges those slots in walk-index
-// order, so the result is bit-identical to the batch path at any
-// parallelism (the same contract as the parallel package).
+// concurrently: the crawl's WalkSink feeds every finished walk to the
+// feed's worker pool (walkFeed.pump), which extracts its paths, finds
+// its candidates, scans its cookie lifetimes and groups its tokens
+// while the crawl keeps producing. Only the cross-walk stages
+// (lifetime-index merge, deferred classification, ordered reduce,
+// aggregation) wait for the last walk.
 func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, error) {
 	tel := cfg.Telemetry
-	reg := tel.Registry()
-	par := cfg.analysisParallelism()
 	walks := cfg.walkCount(world)
 
 	esp := tel.StartSpan("core", "stream")
-
-	// Resume: adopt per-walk analysis state persisted by a previous,
-	// interrupted streaming run. Only walks the checkpoint will actually
-	// resume (rather than re-crawl) are eligible — the snapshot is taken
-	// before the crawl starts, so the two sets match exactly.
-	var sidecar *runio.LineFile
-	restored := map[int]tokens.WalkTokens{}
+	feed := newWalkFeed(cfg, walks)
+	feed.notify = newProgressNotifier(cfg.OnProgress, walks)
 	if cp := cfg.Checkpoint; cp != nil && cp.Path() != "" {
-		resumable := map[int]bool{}
-		for _, i := range cp.CompletedIndices() {
-			resumable[i] = true
-		}
-		scPath := cp.Path() + ".analysis"
-		scOpts := runio.OpenOptions{Tel: tel}
-		lf, lines, err := runio.OpenLineFileOpts(scPath, analysisHeader(cfg.World.Seed), scOpts)
-		if errors.Is(err, runio.ErrCorrupt) {
-			// The sidecar is a pure cache of per-walk analysis state: with
-			// the corrupt file quarantined, start a fresh one and recompute
-			// the tokens from the checkpointed walks. The run stays
-			// byte-identical — only the restore fast path is lost.
-			reg.Counter("core.stream_sidecar_errors").Inc()
-			lf, lines, err = runio.OpenLineFileOpts(scPath, analysisHeader(cfg.World.Seed), scOpts)
-		}
-		if err != nil {
+		if err := feed.resume(cp); err != nil {
 			esp.EndErr(err)
 			return nil, fmt.Errorf("core: analysis state: %w", err)
 		}
-		sidecar = lf
-		defer sidecar.Close()
-		for _, line := range lines {
-			var e analysisEntry
-			if json.Unmarshal(line, &e) != nil {
-				break // schema mismatch in the tail: stop, like a torn write
-			}
-			if resumable[e.Index] {
-				restored[e.Index] = e.Tokens // last entry wins
-			}
-		}
+		defer feed.sidecar.Close()
 	}
 
-	feed := newWalkFeed(cfg, walks)
-
-	notify := newProgressNotifier(cfg.OnProgress, walks)
-	queueDepth := reg.Gauge("core.stream_queue_depth")
-	workers := reg.Gauge("core.stream_workers")
-	analyzed := reg.Counter("core.stream_walks_analyzed")
-	restoredCtr := reg.Counter("core.stream_walks_restored")
-	sidecarErrs := reg.Counter("core.stream_sidecar_errors")
-
-	walkCh := make(chan *crawler.Walk, par)
-	var wwg sync.WaitGroup
-	for k := 0; k < par; k++ {
-		wwg.Add(1)
-		workers.Add(1)
-		go func() {
-			defer wwg.Done()
-			defer workers.Add(-1)
-			for w := range walkCh {
-				queueDepth.Add(-1)
-				sp := tel.StartSpan("analysis", "stream_walk").
-					Attr("walk", strconv.Itoa(w.Index))
-				if wt, ok := restored[w.Index]; ok {
-					feed.restore(w, wt)
-					restoredCtr.Inc()
-					sp.Attr("restored", "true")
-				} else {
-					wt = feed.add(w)
-					if sidecar != nil && !w.Skipped {
-						if err := sidecar.Append(analysisEntry{Index: w.Index, Tokens: wt}); err != nil {
-							sidecarErrs.Inc()
-						}
-					}
-				}
-				sp.End()
-				analyzed.Inc()
-				notify.update(func(p *Progress) {
-					p.WalksAnalyzed++
-					p.QueueDepth--
-				})
-			}
-		}()
-	}
-
-	ccfg := cfg.crawlConfig(world)
-	ccfg.WalkSink = func(w *crawler.Walk) {
-		queueDepth.Add(1)
-		notify.update(func(p *Progress) {
-			p.WalksDone++
-			p.QueueDepth++
-		})
-		walkCh <- w
-	}
-
+	var ds *crawler.Dataset
 	csp := tel.StartSpan("core", "crawl")
-	ds, crawlErr := crawler.Crawl(ctx, ccfg)
-	// Crawl only returns once every walk goroutine — and with it
-	// every WalkSink call — has finished, so the channel can close now.
-	// The workers are drained even on crawl failure: a cancelled run
-	// must not leak analysis goroutines.
-	close(walkCh)
-	wwg.Wait()
+	// Crawl only returns once every walk goroutine — and with it every
+	// WalkSink call — has finished, and pump drains its workers even on
+	// crawl failure: a cancelled run must not leak analysis goroutines.
+	crawlErr := feed.pump(func(sink func(*crawler.Walk) error) error {
+		ccfg := cfg.crawlConfig(world)
+		// The crawl only makes indices in [0, walks); pump returns the
+		// error of any sink call that fails.
+		ccfg.WalkSink = func(w *crawler.Walk) { _ = sink(w) }
+		var err error
+		ds, err = crawler.Crawl(ctx, ccfg)
+		return err
+	})
 	if crawlErr != nil {
 		csp.EndErr(crawlErr)
 		esp.EndErr(crawlErr)
@@ -206,18 +122,31 @@ func executeStreaming(ctx context.Context, cfg Config, world *web.World) (*Run, 
 	return run, nil
 }
 
-// walkFeed is the incremental post-crawl pipeline: every walk pushed
-// into it goes through token extraction, cookie-lifetime scanning and
-// UID grouping on its own, and one drain merges the per-walk products
-// in walk-index order and runs the cross-walk stages. The live crawl's
-// WalkSink workers and the store cursor (AnalyzeSource) both feed one,
-// which is why a store re-analysis reproduces the live run byte for
-// byte.
+// walkFeed is the post-crawl pipeline, the only analysis engine: every
+// walk pushed into it goes through token extraction, cookie-lifetime
+// scanning and UID grouping on its own, and one drain merges the
+// per-walk products in walk-index order and runs the cross-walk stages.
+// The live crawl's WalkSink and a walk source's ForEachWalk
+// (AnalyzeSource) both feed it through pump, which is why a store
+// re-analysis reproduces the live run byte for byte.
+//
+// Determinism: every per-walk product lands in a pre-sized,
+// walk-indexed slot and every drain merges those slots in walk-index
+// order, so the result is bit-identical at any parallelism and in any
+// arrival order (the same contract as the parallel package).
 type walkFeed struct {
 	cfg   Config
+	walks int
 	acc   *tokens.Accumulator
 	life  *uid.LifetimeAccumulator
 	ident *uid.StreamIdentifier
+
+	// notify reports the live crawl's progress; nil elsewhere.
+	notify *progressNotifier
+	// restored holds per-walk tokens adopted from a resume sidecar, and
+	// sidecar records freshly extracted ones (checkpointed crawls only).
+	restored map[int]tokens.WalkTokens
+	sidecar  *runio.LineFile
 }
 
 func newWalkFeed(cfg Config, walks int) *walkFeed {
@@ -230,27 +159,133 @@ func newWalkFeed(cfg Config, walks int) *walkFeed {
 	}
 	return &walkFeed{
 		cfg:   cfg,
+		walks: walks,
 		acc:   tokens.NewAccumulator(cfg.World.Seed, walks, crawler.AllCrawlers, cfg.Telemetry),
 		life:  uid.NewLifetimeAccumulator(walks),
 		ident: uid.NewStreamIdentifier(walks, opt),
 	}
 }
 
-// add folds one walk into the feed and returns its extracted tokens.
-// Calls for distinct walk indices may run concurrently.
-func (f *walkFeed) add(w *crawler.Walk) tokens.WalkTokens {
-	f.life.AddWalk(w)
-	wt := f.acc.AddWalk(w)
-	f.ident.AddWalk(w.Index, wt.Candidates)
-	return wt
+// resume adopts the per-walk analysis state an interrupted run
+// persisted beside checkpoint cp, and opens that sidecar for this run's
+// own walks. Only walks the checkpoint will actually resume (rather
+// than re-crawl) are eligible — the snapshot is taken before the crawl
+// starts, so the two sets match exactly.
+func (f *walkFeed) resume(cp *crawler.Checkpoint) error {
+	tel := f.cfg.Telemetry
+	resumable := map[int]bool{}
+	for _, i := range cp.CompletedIndices() {
+		resumable[i] = true
+	}
+	scPath := cp.Path() + ".analysis"
+	scOpts := runio.OpenOptions{Tel: tel}
+	lf, lines, err := runio.OpenLineFileOpts(scPath, analysisHeader(f.cfg.World.Seed), scOpts)
+	if errors.Is(err, runio.ErrCorrupt) {
+		// The sidecar is a pure cache of per-walk analysis state: with
+		// the corrupt file quarantined, start a fresh one and recompute
+		// the tokens from the checkpointed walks. The run stays
+		// byte-identical — only the restore fast path is lost.
+		tel.Registry().Counter("core.stream_sidecar_errors").Inc()
+		lf, lines, err = runio.OpenLineFileOpts(scPath, analysisHeader(f.cfg.World.Seed), scOpts)
+	}
+	if err != nil {
+		return err
+	}
+	f.sidecar = lf
+	f.restored = map[int]tokens.WalkTokens{}
+	for _, line := range lines {
+		var e analysisEntry
+		if json.Unmarshal(line, &e) != nil {
+			break // schema mismatch in the tail: stop, like a torn write
+		}
+		if resumable[e.Index] {
+			f.restored[e.Index] = e.Tokens // last entry wins
+		}
+	}
+	return nil
 }
 
-// restore is add with the walk's tokens taken from a resume sidecar
-// instead of being extracted again.
-func (f *walkFeed) restore(w *crawler.Walk, wt tokens.WalkTokens) {
-	f.life.AddWalk(w)
-	f.acc.Restore(w.Index, wt)
-	f.ident.AddWalk(w.Index, wt.Candidates)
+// pump is the feed's one worker pool. produce hands every walk to sink,
+// which queues it on a bounded channel (blocking when full, which is
+// how a live crawl gets backpressure); analysis-parallelism workers
+// fold the queued walks into the feed while produce keeps going. sink
+// rejects a walk whose index falls outside [0, walks) — a gapped or
+// damaged store — and pump returns produce's error or, failing that,
+// the first sink error. The workers are drained before pump returns,
+// whatever the outcome.
+func (f *walkFeed) pump(produce func(sink func(*crawler.Walk) error) error) error {
+	tel := f.cfg.Telemetry
+	reg := tel.Registry()
+	par := f.cfg.analysisParallelism()
+	queueDepth := reg.Gauge("core.stream_queue_depth")
+	workers := reg.Gauge("core.stream_workers")
+	analyzed := reg.Counter("core.stream_walks_analyzed")
+	restoredCtr := reg.Counter("core.stream_walks_restored")
+	sidecarErrs := reg.Counter("core.stream_sidecar_errors")
+
+	walkCh := make(chan *crawler.Walk, par)
+	var wwg sync.WaitGroup
+	for k := 0; k < par; k++ {
+		wwg.Add(1)
+		workers.Add(1)
+		go func() {
+			defer wwg.Done()
+			defer workers.Add(-1)
+			for w := range walkCh {
+				queueDepth.Add(-1)
+				sp := tel.StartSpan("analysis", "stream_walk").
+					Attr("walk", strconv.Itoa(w.Index))
+				wt, ok := f.restored[w.Index]
+				if ok {
+					f.acc.Restore(w.Index, wt)
+					restoredCtr.Inc()
+					sp.Attr("restored", "true")
+				} else {
+					wt = f.acc.AddWalk(w)
+					if f.sidecar != nil && !w.Skipped {
+						if err := f.sidecar.Append(analysisEntry{Index: w.Index, Tokens: wt}); err != nil {
+							sidecarErrs.Inc()
+						}
+					}
+				}
+				f.life.AddWalk(w)
+				f.ident.AddWalk(w.Index, wt.Candidates)
+				sp.End()
+				analyzed.Inc()
+				f.notify.update(func(p *Progress) {
+					p.WalksAnalyzed++
+					p.QueueDepth--
+				})
+			}
+		}()
+	}
+
+	var mu sync.Mutex
+	var sinkErr error
+	err := produce(func(w *crawler.Walk) error {
+		if w.Index < 0 || w.Index >= f.walks {
+			err := fmt.Errorf("core: walk index %d outside [0, %d)", w.Index, f.walks)
+			mu.Lock()
+			if sinkErr == nil {
+				sinkErr = err
+			}
+			mu.Unlock()
+			return err
+		}
+		queueDepth.Add(1)
+		f.notify.update(func(p *Progress) {
+			p.WalksDone++
+			p.QueueDepth++
+		})
+		walkCh <- w
+		return nil
+	})
+	close(walkCh)
+	wwg.Wait()
+	if err == nil {
+		err = sinkErr
+	}
+	return err
 }
 
 // drain merges the fed walks, identifies UIDs across them and

@@ -11,8 +11,7 @@
 // (pooling changes allocation counts, never output).
 //
 // Interners are per-pipeline-run objects with no package-level state:
-// each Runner (batch entry point or streaming Accumulator) constructs
-// its own, so concurrent runs cannot leak canonical instances into one
+// each run's token Accumulator constructs its own, so concurrent runs cannot leak canonical instances into one
 // another and a run's working set is released when its interner is.
 package intern
 

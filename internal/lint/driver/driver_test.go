@@ -215,38 +215,6 @@ func TestCacheInvalidationOnAnalyzerVersionBump(t *testing.T) {
 	}
 }
 
-func TestBaselineSuppression(t *testing.T) {
-	dir := writeTestModule(t)
-	baseline := filepath.Join(dir, "baseline.json")
-
-	res := runIn(t, dir, Options{WriteBaselinePath: baseline})
-	if len(res.Findings) != 0 {
-		t.Fatalf("write-baseline mode still reported findings: %v", findingStrings(res))
-	}
-
-	res = runIn(t, dir, Options{BaselinePath: baseline})
-	if len(res.Findings) != 0 || res.Suppressed != 1 {
-		t.Fatalf("baselined run: findings=%v suppressed=%d, want none/1", findingStrings(res), res.Suppressed)
-	}
-
-	// A new finding in a baselined tree still fails.
-	extra := testModMain + "\nfunc leak2() {\n\tst, _ := runstore.Open(\"y\")\n\t_ = st.Len()\n}\n"
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(extra), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	// st.Len does not exist in the test dep; add it.
-	dep := strings.Replace(testModDep, "func (s *Store) Close() error { s.open = false; return nil }",
-		"func (s *Store) Close() error { s.open = false; return nil }\n\nfunc (s *Store) Len() int { return 0 }", 1)
-	if err := os.WriteFile(filepath.Join(dir, "internal", "runstore", "runstore.go"), []byte(dep), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	res = runIn(t, dir, Options{BaselinePath: baseline})
-	if len(res.Findings) != 1 || res.Suppressed != 1 {
-		t.Fatalf("new finding should surface past the baseline: findings=%v suppressed=%d",
-			findingStrings(res), res.Suppressed)
-	}
-}
-
 func TestJSONAndSARIFOutput(t *testing.T) {
 	dir := writeTestModule(t)
 	t.Chdir(dir)

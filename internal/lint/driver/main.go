@@ -23,8 +23,6 @@ func Main(analyzers ...*analysis.Analyzer) {
 	testsFlag := flag.Bool("tests", true, "also analyze test files")
 	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array")
 	sarifFlag := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baselineFlag := flag.String("baseline", "", "suppress findings listed in this baseline file")
-	writeBaselineFlag := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	cacheFlag := flag.String("cache", "", "directory for the content-hash result cache (e.g. bin/.lintcache)")
 	parallelFlag := flag.Int("parallel", 0, "max concurrent units (0 = GOMAXPROCS)")
 	selected := make(map[string]*bool, len(analyzers))
@@ -78,14 +76,12 @@ Analyzers (all run by default; -NAME selects a subset):
 		format = "sarif"
 	}
 	runStandaloneMain(os.Stdout, Options{
-		Patterns:          args,
-		IncludeTests:      *testsFlag,
-		Analyzers:         enabled,
-		CacheDir:          *cacheFlag,
-		Format:            format,
-		BaselinePath:      *baselineFlag,
-		WriteBaselinePath: *writeBaselineFlag,
-		Parallel:          *parallelFlag,
+		Patterns:     args,
+		IncludeTests: *testsFlag,
+		Analyzers:    enabled,
+		CacheDir:     *cacheFlag,
+		Format:       format,
+		Parallel:     *parallelFlag,
 	})
 }
 

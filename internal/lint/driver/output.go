@@ -6,16 +6,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"crumbcruncher/internal/lint/analysis"
 )
 
 // Finding is the exported, serializable form of one diagnostic, as
-// emitted by -json and -sarif and recorded in baseline files. File is
-// relative to the working directory when possible, so baselines and
-// SARIF artifacts travel between checkouts.
+// emitted by -json and -sarif. File is relative to the working
+// directory when possible, so SARIF artifacts travel between checkouts.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
@@ -84,8 +82,8 @@ func writeSARIF(w io.Writer, analyzers []*analysis.Analyzer, fs []Finding) error
 		Text string `json:"text"`
 	}
 	type sarifRule struct {
-		ID   string `json:"id"`
-		Name string `json:"name"`
+		ID   string       `json:"id"`
+		Name string       `json:"name"`
 		Help sarifMessage `json:"shortDescription"`
 	}
 	type sarifArtifact struct {
@@ -167,93 +165,4 @@ func writeSARIF(w io.Writer, analyzers []*analysis.Analyzer, fs []Finding) error
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// --- baseline ---------------------------------------------------------------
-
-// baselineEntry identifies a known finding. Line numbers are
-// deliberately absent: a baseline survives unrelated edits above the
-// finding, and dies with the finding itself (message + file + analyzer
-// is the identity).
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-// baseline is a checked-in inventory of pre-existing findings that must
-// not fail CI while still failing it for anything new.
-type baseline struct {
-	entries map[baselineEntry]int // entry -> allowed count
-}
-
-func baselineKey(f Finding) baselineEntry {
-	return baselineEntry{Analyzer: f.Analyzer, File: filepath.ToSlash(f.File), Message: f.Message}
-}
-
-// loadBaseline reads a baseline file; a missing file is an empty
-// baseline, so bootstrapping needs no special case.
-func loadBaseline(path string) (*baseline, error) {
-	b := &baseline{entries: map[baselineEntry]int{}}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return b, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	for _, e := range entries {
-		e.File = filepath.ToSlash(e.File)
-		b.entries[e]++
-	}
-	return b, nil
-}
-
-// filter splits findings into new (returned) and baselined (counted).
-// Counts match multiset-style: two identical baselined findings need
-// two baseline entries.
-func (b *baseline) filter(fs []Finding) ([]Finding, int) {
-	remaining := make(map[baselineEntry]int, len(b.entries))
-	for k, v := range b.entries {
-		remaining[k] = v
-	}
-	var out []Finding
-	suppressed := 0
-	for _, f := range fs {
-		k := baselineKey(f)
-		if remaining[k] > 0 {
-			remaining[k]--
-			suppressed++
-			continue
-		}
-		out = append(out, f)
-	}
-	return out, suppressed
-}
-
-// writeBaseline records the given findings as the new baseline.
-func writeBaseline(path string, fs []Finding) error {
-	entries := make([]baselineEntry, 0, len(fs))
-	for _, f := range fs {
-		entries = append(entries, baselineKey(f))
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
 }

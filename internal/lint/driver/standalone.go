@@ -181,15 +181,6 @@ type Options struct {
 	// "json" or "sarif".
 	Format string
 
-	// BaselinePath, when non-empty, names a JSON baseline file; known
-	// findings are suppressed from output and from the returned
-	// Findings slice.
-	BaselinePath string
-
-	// WriteBaselinePath, when non-empty, records the run's findings as
-	// the new baseline instead of reporting them.
-	WriteBaselinePath string
-
 	// Parallel caps concurrent units; 0 means GOMAXPROCS.
 	Parallel int
 }
@@ -198,8 +189,7 @@ type Options struct {
 // tests can assert cache behavior ("warm cache re-runs zero
 // analyzers") rather than trusting it.
 type Result struct {
-	Findings     []Finding // after baseline filtering, deterministic order
-	Suppressed   int       // findings matched by the baseline
+	Findings     []Finding // deterministic order
 	UnitsTotal   int
 	UnitsCached  int
 	AnalyzersRun int // analyzer executions (UnitsTotal-UnitsCached per-unit sets)
@@ -330,22 +320,6 @@ func Run(w io.Writer, opts Options) (*Result, error) {
 		all = append(all, done[u.importPath].findings...)
 	}
 	findings := exportFindings(all)
-
-	if opts.WriteBaselinePath != "" {
-		if err := writeBaseline(opts.WriteBaselinePath, findings); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %d baseline entries to %s\n", len(findings), opts.WriteBaselinePath)
-		return res, nil
-	}
-
-	if opts.BaselinePath != "" {
-		base, err := loadBaseline(opts.BaselinePath)
-		if err != nil {
-			return nil, err
-		}
-		findings, res.Suppressed = base.filter(findings)
-	}
 	res.Findings = findings
 
 	switch opts.Format {
@@ -369,7 +343,7 @@ func Run(w io.Writer, opts Options) (*Result, error) {
 // findings to w in the plain format. It returns the number of findings;
 // a non-nil error means the analysis itself could not run (load or
 // type-check failure). It is the compatibility wrapper over Run that
-// the self-lint test and older callers use — no cache, no baseline.
+// the self-lint test and older callers use — no cache.
 func RunStandalone(w io.Writer, patterns []string, includeTests bool, analyzers []*analysis.Analyzer) (int, error) {
 	res, err := Run(w, Options{
 		Patterns:     patterns,

@@ -261,10 +261,10 @@ func scanMutations(pass *analysis.Pass, n ast.Node, bareWrites bool, report func
 
 // --- parallel-body checking -------------------------------------------------
 
-// isParallelForEach matches calls to the parallel package's fan-out
-// functions (ForEach, ForEachCtx, ForEachTimed, ForEachTimedCtx, and
-// whatever siblings grow later — any parallel.* function taking a body
-// literal counts).
+// isParallelForEach matches calls into the parallel package: today its
+// one fan-out entry point, ForEachTimedCtx, but any function of a
+// package whose path ends in "parallel" counts, so a sibling added
+// later, or the fixture's own ForEach, is checked the same way.
 func isParallelForEach(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := staticCallee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {

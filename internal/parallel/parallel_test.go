@@ -1,9 +1,19 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
+
+// forEach runs ForEachTimedCtx untimed under a context that is never
+// cancelled, so it cannot fail.
+func forEach(t *testing.T, n, p int, fn func(i int)) {
+	t.Helper()
+	if err := ForEachTimedCtx(context.Background(), n, p, fn, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestWorkers(t *testing.T) {
 	cases := []struct{ p, n, want int }{
@@ -20,19 +30,19 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, p := range []int{0, 1, 4, 16, 100} {
 		const n = 500
 		var hits [n]atomic.Int32
-		ForEach(n, p, func(i int) { hits[i].Add(1) })
+		forEach(t, n, p, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("p=%d: index %d visited %d times", p, i, got)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	forEach(t, 0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
 func TestForEachSequentialOrder(t *testing.T) {
 	var order []int
-	ForEach(5, 1, func(i int) { order = append(order, i) })
+	forEach(t, 5, 1, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if i != v {
 			t.Fatalf("sequential order broken: %v", order)
@@ -56,5 +66,20 @@ func TestChunksPartition(t *testing.T) {
 		if c.n > 0 && len(chunks) > Workers(c.p, c.n) {
 			t.Fatalf("n=%d p=%d: %d chunks exceed worker count", c.n, c.p, len(chunks))
 		}
+	}
+}
+
+func TestForEachStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int32
+	for _, p := range []int{1, 4} {
+		err := ForEachTimedCtx(ctx, 1000, p, func(int) { calls.Add(1) }, nil)
+		if err != context.Canceled {
+			t.Fatalf("p=%d: err = %v, want context.Canceled", p, err)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("cancelled pool ran %d items", n)
 	}
 }

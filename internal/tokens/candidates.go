@@ -1,16 +1,13 @@
 package tokens
 
 import (
-	"context"
 	"net/url"
 	"sort"
 	"sync"
 
 	"crumbcruncher/internal/crawler"
 	"crumbcruncher/internal/intern"
-	"crumbcruncher/internal/parallel"
 	"crumbcruncher/internal/publicsuffix"
-	"crumbcruncher/internal/telemetry"
 )
 
 // PathNode is one hop of a navigation path.
@@ -102,47 +99,6 @@ func regDomain(host string) string {
 		return rd
 	}
 	return host
-}
-
-// PathsFromDataset reconstructs every navigation path in the crawl: one
-// per (walk, step, crawler) whose click produced at least one hop. Data
-// from unsynchronized (divergent) steps is included, as in the paper
-// (§3.3: "We still include data from this unsynchronized step in our
-// analyses").
-//
-// Walks are sharded over a bounded worker pool of the given size; each
-// walk's paths are reconstructed independently and concatenated in
-// walk-slice order, so the output is identical to a sequential pass for
-// any parallelism. Per-walk shard wall times land in the
-// tokens.path_shard_us histogram and the path total in the tokens.paths
-// counter; a nil Telemetry records nothing. Cancellation stops the pool
-// from taking new walks and returns ctx's error.
-func PathsFromDataset(ctx context.Context, ds *crawler.Dataset, parallelism int, tel *telemetry.Telemetry) ([]*Path, error) {
-	names := ds.Crawlers
-	if len(names) == 0 {
-		names = crawler.AllCrawlers
-	}
-	reg := tel.Registry()
-	// One interner per entry-point call: canonical strings are shared
-	// across this dataset's walks but never across runs.
-	in := intern.New(ds.Seed)
-	perWalk := make([][]*Path, len(ds.Walks))
-	err := parallel.ForEachTimedCtx(ctx, len(ds.Walks), parallelism, func(i int) {
-		perWalk[i] = pathsFromWalk(ds.Walks[i], names, in)
-	}, reg.Histogram("tokens.path_shard_us").Microseconds())
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, ps := range perWalk {
-		total += len(ps)
-	}
-	out := make([]*Path, 0, total)
-	for _, ps := range perWalk {
-		out = append(out, ps...)
-	}
-	reg.Counter("tokens.paths").Add(int64(total))
-	return out, nil
 }
 
 // pathsFromWalk reconstructs one walk's navigation paths in (step,
@@ -254,35 +210,4 @@ func FindCandidates(p *Path) []*Candidate {
 		return out[i].Value < out[j].Value
 	})
 	return out
-}
-
-// AllCandidates runs FindCandidates over every path with a bounded
-// worker pool, merging per-path results in path order — the output is
-// identical to a sequential pass for any parallelism. Per-path
-// candidate counts land in the tokens.candidates_per_path histogram (a
-// deterministic distribution), shard wall times in
-// tokens.candidate_shard_us, and the candidate total in the
-// tokens.candidates counter. Cancellation stops the pool from taking
-// new paths and returns ctx's error.
-func AllCandidates(ctx context.Context, paths []*Path, parallelism int, tel *telemetry.Telemetry) ([]*Candidate, error) {
-	reg := tel.Registry()
-	perPathHist := reg.Histogram("tokens.candidates_per_path")
-	perPath := make([][]*Candidate, len(paths))
-	err := parallel.ForEachTimedCtx(ctx, len(paths), parallelism, func(i int) {
-		perPath[i] = FindCandidates(paths[i])
-		perPathHist.Observe(int64(len(perPath[i])))
-	}, reg.Histogram("tokens.candidate_shard_us").Microseconds())
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, cs := range perPath {
-		total += len(cs)
-	}
-	out := make([]*Candidate, 0, total)
-	for _, cs := range perPath {
-		out = append(out, cs...)
-	}
-	reg.Counter("tokens.candidates").Add(int64(total))
-	return out, nil
 }

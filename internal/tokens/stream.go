@@ -11,8 +11,8 @@ import (
 
 // WalkTokens is one walk's contribution to the token pipeline: the
 // walk's reconstructed navigation paths and the candidates found on
-// them. It is the unit the streaming engine computes as each walk
-// finishes, persists to the analysis-state sidecar, and merges at drain
+// them. It is the unit the analysis engine computes as each walk
+// arrives, persists to the analysis-state sidecar, and merges at drain
 // time. Candidates reference Paths by pointer; the JSON form encodes
 // that reference as an index so decoding restores pointer identity.
 type WalkTokens struct {
@@ -87,11 +87,10 @@ func (wt *WalkTokens) UnmarshalJSON(data []byte) error {
 }
 
 // Accumulator collects per-walk token extraction incrementally for the
-// streaming engine. Each walk is processed independently (AddWalk on
+// analysis engine. Each walk is processed independently (AddWalk on
 // distinct indices may run concurrently from several workers) and Drain
-// merges the per-walk results in walk-index order — the same order the
-// batch entry points (PathsFromDataset, AllCandidates) produce, so
-// the merged output is bit-identical to the batch pass.
+// merges the per-walk results in walk-index order, so the merged output
+// is bit-identical to a sequential pass over the walks.
 type Accumulator struct {
 	names       []string
 	tel         *telemetry.Telemetry
@@ -124,8 +123,11 @@ func NewAccumulator(seed int64, walks int, crawlers []string, tel *telemetry.Tel
 }
 
 // AddWalk reconstructs walk w's navigation paths, finds their
-// candidates, stores the result at w.Index and returns it. The per-walk
-// computation is exactly the batch pipeline's per-walk/per-path work.
+// candidates, stores the result at w.Index and returns it. Paths come
+// in (step, crawler) order and each path's candidates in FindCandidates
+// order. Per-walk path and candidate wall times land in the
+// tokens.path_shard_us and tokens.candidate_shard_us histograms and
+// per-path candidate counts in tokens.candidates_per_path.
 func (a *Accumulator) AddWalk(w *crawler.Walk) WalkTokens {
 	var sw telemetry.Stopwatch
 	if a.tel != nil {
@@ -155,8 +157,8 @@ func (a *Accumulator) Restore(index int, wt WalkTokens) {
 }
 
 // Drain concatenates the per-walk paths and candidates in walk-index
-// order and bumps the same tokens.* totals the batch entry points
-// report.
+// order and adds their totals to the tokens.paths and tokens.candidates
+// counters.
 func (a *Accumulator) Drain() ([]*Path, []*Candidate) {
 	totalPaths, totalCands := 0, 0
 	for _, wt := range a.perWalk {

@@ -1,7 +1,6 @@
 package tokens
 
 import (
-	"context"
 	"net/url"
 	"sort"
 	"testing"
@@ -271,7 +270,17 @@ func TestCandidatesSorted(t *testing.T) {
 	}
 }
 
-func TestPathsFromDatasetRespectsCrawlerList(t *testing.T) {
+// drainDataset runs a dataset's walks through an Accumulator built with
+// the dataset's crawler roster.
+func drainDataset(ds *crawler.Dataset) ([]*Path, []*Candidate) {
+	acc := NewAccumulator(ds.Seed, len(ds.Walks), ds.Crawlers, nil)
+	for _, w := range ds.Walks {
+		acc.AddWalk(w)
+	}
+	return acc.Drain()
+}
+
+func TestAccumulatorRespectsCrawlerList(t *testing.T) {
 	mkRec := func(name string) *crawler.CrawlerStep {
 		return &crawler.CrawlerStep{
 			Crawler:  name,
@@ -291,24 +300,16 @@ func TestPathsFromDatasetRespectsCrawlerList(t *testing.T) {
 			}},
 		}},
 	}
-	ctx := context.Background()
-	paths, err := PathsFromDataset(ctx, ds, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths, cands := drainDataset(ds)
 	if len(paths) != 2 {
 		t.Fatalf("paths = %d, want 2 (custom crawler names)", len(paths))
-	}
-	cands, err := AllCandidates(ctx, paths, 1, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %d", len(cands))
 	}
 	// Records without a navigation chain are skipped.
 	ds.Walks[0].Steps[0].Records["Seq-1"].NavChain = nil
-	if got, _ := PathsFromDataset(ctx, ds, 1, nil); len(got) != 1 {
+	if got, _ := drainDataset(ds); len(got) != 1 {
 		t.Fatalf("paths after chain removal = %d", len(got))
 	}
 }

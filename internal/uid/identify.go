@@ -231,8 +231,8 @@ func Identify(ctx context.Context, cands []*tokens.Candidate, opt Options) ([]*C
 // reduceVerdicts performs the ordered reduce: statistics and confirmed
 // cases accumulate in group order, exactly as a sequential loop would.
 // Verdict counters live here rather than in classifyGroup so they
-// increment in deterministic order too. Shared by the batch entry
-// points and the streaming identifier's drain.
+// increment in deterministic order too. Shared by Identify (the
+// Reidentify ablations) and the streaming identifier's drain.
 func reduceVerdicts(verdicts []groupVerdict, stats *Stats, reg *telemetry.Registry) []*Case {
 	var cases []*Case
 	for _, v := range verdicts {

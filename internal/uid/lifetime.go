@@ -7,26 +7,16 @@ import (
 )
 
 // LifetimeIndex maps token values to the lifetime of the cookie that
-// stored them, built from the crawl's storage snapshots. Session cookies
-// index as lifetime 0.
+// stored them, built by a LifetimeAccumulator from the crawl's storage
+// snapshots. Session cookies index as lifetime 0.
 type LifetimeIndex struct {
 	byValue map[string]time.Duration
-}
-
-// BuildLifetimeIndex scans every snapshot in the dataset.
-func BuildLifetimeIndex(ds *crawler.Dataset) *LifetimeIndex {
-	idx := &LifetimeIndex{byValue: map[string]time.Duration{}}
-	for _, w := range ds.Walks {
-		scanWalkLifetimes(w, idx.byValue)
-	}
-	return idx
 }
 
 // scanWalkLifetimes records every cookie in one walk's snapshots into
 // into, first occurrence wins. A cookie value always maps to the same
 // lifetime (the value is minted with the cookie), so first-wins is
-// order-insensitive. Shared by the batch index builder and the
-// streaming LifetimeAccumulator so both produce identical indices.
+// order-insensitive.
 func scanWalkLifetimes(w *crawler.Walk, into map[string]time.Duration) {
 	add := func(snap crawler.Snapshot) {
 		for _, c := range snap.Cookies {

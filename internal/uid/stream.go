@@ -11,10 +11,10 @@ import (
 )
 
 // LifetimeAccumulator builds a LifetimeIndex incrementally, one walk at
-// a time, for the streaming engine. AddWalk calls on distinct indices
+// a time, for the analysis engine. AddWalk calls on distinct indices
 // may run concurrently; Drain merges per-walk partials in walk-index
-// order with first-occurrence-wins semantics — the same scan the batch
-// BuildLifetimeIndex performs, so the index is identical.
+// order with first-occurrence-wins semantics, so the index does not
+// depend on the order walks arrive in.
 type LifetimeAccumulator struct {
 	perWalk []map[string]time.Duration
 }
@@ -31,9 +31,15 @@ func (a *LifetimeAccumulator) AddWalk(w *crawler.Walk) {
 	a.perWalk[w.Index] = m
 }
 
-// Drain merges the per-walk partials into the final index.
+// Drain merges the per-walk partials into the final index. The index
+// is sized for every partial entry up front (an upper bound, since
+// values repeat across walks), so the merge never rehashes.
 func (a *LifetimeAccumulator) Drain() *LifetimeIndex {
-	idx := &LifetimeIndex{byValue: map[string]time.Duration{}}
+	n := 0
+	for _, m := range a.perWalk {
+		n += len(m)
+	}
+	idx := &LifetimeIndex{byValue: make(map[string]time.Duration, n)}
 	for _, m := range a.perWalk {
 		for v, d := range m {
 			if _, ok := idx.byValue[v]; !ok {
@@ -45,10 +51,10 @@ func (a *LifetimeAccumulator) Drain() *LifetimeIndex {
 }
 
 // StreamIdentifier runs UID identification incrementally for the
-// streaming engine. Each walk's candidates are grouped (and, when the
-// options permit, classified) as the walk finishes; Drain performs the
-// ordered reduce over all walks and returns exactly what a batch
-// Identify over the concatenated candidate list would.
+// analysis engine. Each walk's candidates are grouped (and, when the
+// options permit, classified) as the walk arrives; Drain performs the
+// ordered reduce over all walks and returns exactly what Identify over
+// the concatenated candidate list would.
 //
 // Classification is eager unless the prior-work lifetime heuristic is
 // enabled without a lifetime function: that rule needs the full
@@ -103,8 +109,8 @@ func (s *StreamIdentifier) AddWalk(index int, cands []*tokens.Candidate) {
 
 // Drain concatenates per-walk groups in walk-index order — candidates
 // of one walk only ever form groups of that walk, and GroupCandidates
-// sorts by (walk, step, name), so the concatenation equals the batch
-// grouping of the full candidate list — classifies any deferred groups
+// sorts by (walk, step, name), so the concatenation equals grouping
+// the full candidate list at once — classifies any deferred groups
 // against the now-complete lifetime index, and performs the same
 // ordered reduce as Identify.
 func (s *StreamIdentifier) Drain(ctx context.Context, lifetimes *LifetimeIndex) ([]*Case, Stats, error) {

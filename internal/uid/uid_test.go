@@ -250,7 +250,7 @@ func TestLifetimeStats(t *testing.T) {
 	}
 }
 
-func TestBuildLifetimeIndexFromDataset(t *testing.T) {
+func TestLifetimeAccumulatorFromDataset(t *testing.T) {
 	now := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	ds := &crawler.Dataset{
 		Walks: []*crawler.Walk{{
@@ -266,7 +266,11 @@ func TestBuildLifetimeIndexFromDataset(t *testing.T) {
 			}},
 		}},
 	}
-	idx := BuildLifetimeIndex(ds)
+	acc := NewLifetimeAccumulator(len(ds.Walks))
+	for _, w := range ds.Walks {
+		acc.AddWalk(w)
+	}
+	idx := acc.Drain()
 	if lt, ok := idx.Lifetime("somevalue1234567"); !ok || lt != 45*24*time.Hour {
 		t.Fatalf("lifetime = %v ok=%v", lt, ok)
 	}

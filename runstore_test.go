@@ -112,3 +112,48 @@ func TestRunStoreWalkAccess(t *testing.T) {
 		t.Fatal("Get(99) on a 12-walk store succeeded")
 	}
 }
+
+// TestAnalyzeStoreRejectsGappedStore analyses the store a crashed crawl
+// leaves when it appends walks as they complete: walks 0, 1 and 5,
+// never finalized, so the store counts three walks but holds index 5.
+// On either backend the analysis must fail with an error naming the
+// index rather than index past its per-walk slots.
+func TestAnalyzeStoreRejectsGappedStore(t *testing.T) {
+	cfg := crumbcruncher.SmallConfig()
+	cfg.World.Seed = 3
+	cfg.Walks = 6
+	run, err := crumbcruncher.NewRunner(cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"gapped.json", "gapped.crumbs"} {
+		path := filepath.Join(dir, name)
+		st, err := crumbcruncher.CreateRunStore(path, cfg)
+		if err != nil {
+			t.Fatalf("%s: create: %v", name, err)
+		}
+		for _, i := range []int{0, 1, 5} {
+			if err := st.Append(run.Dataset.Walks[i]); err != nil {
+				t.Fatalf("%s: append walk %d: %v", name, i, err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+
+		st, err = crumbcruncher.OpenRunStore(path)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		got, err := crumbcruncher.AnalyzeStore(context.Background(), st)
+		if err == nil {
+			t.Errorf("%s: analysing a gapped store succeeded (%d walks)", name, got.Analysis.WalkCount())
+		} else if !strings.Contains(err.Error(), "walk index 5") {
+			t.Errorf("%s: error %q does not name walk index 5", name, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("%s: close after analysis: %v", name, err)
+		}
+	}
+}

@@ -3,7 +3,7 @@
 # cross-run comparison:
 #   - end to end: the crawl (BenchmarkCrawl), the parallel post-crawl
 #     re-analysis (BenchmarkAnalyzeParallel) and the streaming-vs-batch
-#     engine comparison (BenchmarkExecuteStreaming);
+#     schedule comparison (BenchmarkExecuteStreaming);
 #   - per layer: web site-domain lookup and page synthesis
 #     (BenchmarkDomainAt, BenchmarkBuildPage), DOM parsing
 #     (BenchmarkParse) and the runstore crumbreport path on each backend

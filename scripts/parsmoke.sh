@@ -1,7 +1,9 @@
 #!/bin/sh
-# CI smoke check: the sharded post-crawl pipeline must actually be
-# faster in parallel. Runs BenchmarkAnalyzeParallel (worker-pool sizes 1
-# and NumCPU) and asserts the parallel variant beats sequential.
+# CI smoke check: the post-crawl analysis engine must actually be
+# faster in parallel. Runs BenchmarkAnalyzeParallel — Runner.Reanalyze
+# replaying an in-memory crawl into the pooled AnalyzeSource at
+# worker-pool sizes 1 and NumCPU — and asserts the parallel variant
+# beats sequential.
 #
 # On runners with fewer than 4 CPUs the speedup is noise-bound, so the
 # benchmark still runs (keeping the concurrent path exercised) but the
